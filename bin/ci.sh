@@ -13,7 +13,8 @@
 # smoke run plus a short chaos soak over all four §6 services (exit 1 on
 # any broken exactly-once contract, lost or duplicated effect, or unclean
 # shard monitor), a parallel-determinism
-# check (the -j 2 JSON reports must be byte-identical to -j 1), a
+# check (the -j 2 JSON reports of inject, recover, fuzz, federate, refine
+# and serve must be byte-identical to -j 1), a
 # fresh self-validating bench snapshot gated against the committed one
 # (exit 1 on a >20% throughput regression), a replay of every checked-in
 # regression corpus case, and the example programs.
@@ -57,6 +58,9 @@ fi
 dune exec bin/rushby.exe -- inject --smoke -j 1 --json "$tmpdir/inject-j1.jsonl"
 dune exec bin/rushby.exe -- inject --smoke -j 2 --json "$tmpdir/inject-j2.jsonl"
 diff "$tmpdir/inject-j1.jsonl" "$tmpdir/inject-j2.jsonl"
+dune exec bin/rushby.exe -- recover --smoke -j 1 --json "$tmpdir/recover-j1.jsonl"
+dune exec bin/rushby.exe -- recover --smoke -j 2 --json "$tmpdir/recover-j2.jsonl"
+diff "$tmpdir/recover-j1.jsonl" "$tmpdir/recover-j2.jsonl"
 dune exec bin/rushby.exe -- fuzz --smoke --seed 5 -j 1 --json "$tmpdir/fuzz-j1.jsonl"
 dune exec bin/rushby.exe -- fuzz --smoke --seed 5 -j 2 --json "$tmpdir/fuzz-j2.jsonl"
 diff "$tmpdir/fuzz-j1.jsonl" "$tmpdir/fuzz-j2.jsonl"

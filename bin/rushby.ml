@@ -683,33 +683,44 @@ let metrics_run () =
 let metrics_cmd =
   Cmd.v (Cmd.info "metrics" ~doc:"Print the kernel comparison profiles (E2).") Term.(const metrics_run $ const ())
 
-(* -- inject ------------------------------------------------------------------ *)
+(* -- fault campaigns (inject, recover, federate, serve) ----------------------- *)
+
+(* the plan of every violating case, one line each *)
+let print_violations cases =
+  List.iter
+    (fun (outcome, plan) ->
+      if outcome = Sep_robust.Campaign.Violating then
+        Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp plan)
+    cases
+
+(* one scenario's tallies (the recovered-safe column only when a supervisor
+   ran), then its violations *)
+let print_scenario ~recovery (sr : Sep_robust.Campaign.scenario_report) =
+  let module C = Sep_robust.Campaign in
+  let cases = List.map (fun (c : C.case) -> (c.C.outcome, c.C.plan)) sr.C.cases in
+  let m, d, r, v = C.tally (List.map fst cases) in
+  Fmt.pr "  %-16s %3d masked  %3d detected-safe  %s%3d violating%s@." sr.C.label m d
+    (if recovery then Fmt.str "%3d recovered-safe  " r else "")
+    v
+    (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
+  print_violations cases
+
+let write_jsonl json_file contents =
+  match json_file with
+  | None -> ()
+  | Some file ->
+    graceful_write @@ fun () ->
+    let oc = open_out file in
+    output_string oc contents;
+    close_out oc;
+    Fmt.pr "wrote %s@." file
 
 let inject_run seed jobs steps count smoke json_file =
   let steps, count = if smoke then (60, 12) else (steps, count) in
   let module C = Sep_robust.Campaign in
   let report = C.run ~jobs ~seed ~steps ~count () in
   Fmt.pr "== fault-injection campaign: seed %d, %d steps, %d faults/scenario ==@." seed steps count;
-  List.iter
-    (fun (sr : C.scenario_report) ->
-      let m, d, v =
-        List.fold_left
-          (fun (m, d, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, v)
-            | C.Detected_safe -> (m, d + 1, v)
-            | C.Recovered_safe -> (m, d, v)  (* never produced without a supervisor *)
-            | C.Violating -> (m, d, v + 1))
-          (0, 0, 0) sr.C.cases
-      in
-      Fmt.pr "  %-16s %3d masked  %3d detected-safe  %3d violating%s@." sr.C.label m d v
-        (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
-      List.iter
-        (fun (c : C.case) ->
-          if c.C.outcome = C.Violating then
-            Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.C.plan)
-        sr.C.cases)
-    report.C.rp_scenarios;
+  List.iter (print_scenario ~recovery:false) report.C.rp_scenarios;
   let masked, detected, _, violating = C.totals report in
   let dist = C.run_distributed ~seed ~steps:40 ~count:20 in
   Fmt.pr "  %-16s %3d wire-tamper cases, %d messages hit, contained by construction: %b@."
@@ -717,18 +728,7 @@ let inject_run seed jobs steps count smoke json_file =
   Fmt.pr "@.totals: %d masked, %d detected-safe, %d separation-violating@." masked detected violating;
   let ok = C.holds report && dist.C.dr_contained in
   Fmt.pr "fault containment %s@." (if ok then "HOLDS" else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    output_string oc (C.report_to_jsonl report);
-    let buf = Buffer.create 256 in
-    Sep_util.Json.to_buffer buf (C.dist_to_json dist);
-    Buffer.add_char buf '\n';
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+  write_jsonl json_file (C.report_to_jsonl report ^ C.jsonl [ C.dist_to_json dist ]);
   if ok then 0 else 1
 
 let inject_cmd =
@@ -757,27 +757,7 @@ let recover_run seed jobs steps count smoke drop json_file =
   let report = C.run_recovery ~jobs ~seed ~steps ~count () in
   Fmt.pr "== recovery campaign: seed %d, %d steps, %d fault plans/scenario (plus multi-fault) ==@."
     seed steps count;
-  List.iter
-    (fun (sr : C.scenario_report) ->
-      let m, d, r, v =
-        List.fold_left
-          (fun (m, d, r, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, r, v)
-            | C.Detected_safe -> (m, d + 1, r, v)
-            | C.Recovered_safe -> (m, d, r + 1, v)
-            | C.Violating -> (m, d, r, v + 1))
-          (0, 0, 0, 0) sr.C.cases
-      in
-      Fmt.pr "  %-16s %3d masked  %3d detected-safe  %3d recovered-safe  %3d violating%s@."
-        sr.C.label m d r v
-        (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
-      List.iter
-        (fun (c : C.case) ->
-          if c.C.outcome = C.Violating then
-            Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.C.plan)
-        sr.C.cases)
-    report.C.rp_scenarios;
+  List.iter (print_scenario ~recovery:true) report.C.rp_scenarios;
   let masked, detected, recovered, violating = C.totals report in
   (* the reliable-channel differential: the kernel must still pin against
      the distributed ideal when the ideal's wires drop, duplicate and
@@ -803,46 +783,35 @@ let recover_run seed jobs steps count smoke drop json_file =
      else if violating > 0 then "VIOLATED"
      else if recovered = 0 then "DEGRADED (no fault recovered)"
      else "VIOLATED (reliable-channel differential failed)");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    output_string oc (C.report_to_jsonl report);
-    let line j =
-      let buf = Buffer.create 256 in
-      Sep_util.Json.to_buffer buf j;
-      Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf)
-    in
-    List.iteri
-      (fun i (rc : Sep_check.Diff.reliable_case) ->
-        line
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "reliable-net");
-               ("case", Sep_util.Json.Int i);
-               ("drop", Sep_util.Json.Int drop);
-               ("delivered", Sep_util.Json.Int rc.Sep_check.Diff.rc_delivered);
-               ("stats", link_stats_json rc.Sep_check.Diff.rc_stats);
-               ( "mismatches",
-                 Sep_util.Json.List
-                   (List.map (fun m -> Sep_util.Json.String m) rc.Sep_check.Diff.rc_mismatches) );
-             ]))
-      rel;
-    line
-      (Sep_util.Json.Obj
-         [
-           ("kind", Sep_util.Json.String "recover-summary");
-           ("seed", Sep_util.Json.Int seed);
-           ("masked", Sep_util.Json.Int masked);
-           ("detected_safe", Sep_util.Json.Int detected);
-           ("recovered_safe", Sep_util.Json.Int recovered);
-           ("violating", Sep_util.Json.Int violating);
-           ("ok", Sep_util.Json.Bool ok);
-         ]);
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+  write_jsonl json_file
+    (C.report_to_jsonl report
+    ^ C.jsonl
+        (List.mapi
+           (fun i (rc : Sep_check.Diff.reliable_case) ->
+             Sep_util.Json.Obj
+               [
+                 ("kind", Sep_util.Json.String "reliable-net");
+                 ("case", Sep_util.Json.Int i);
+                 ("drop", Sep_util.Json.Int drop);
+                 ("delivered", Sep_util.Json.Int rc.Sep_check.Diff.rc_delivered);
+                 ("stats", link_stats_json rc.Sep_check.Diff.rc_stats);
+                 ( "mismatches",
+                   Sep_util.Json.List
+                     (List.map (fun m -> Sep_util.Json.String m) rc.Sep_check.Diff.rc_mismatches) );
+               ])
+           rel
+        @ [
+            Sep_util.Json.Obj
+              [
+                ("kind", Sep_util.Json.String "recover-summary");
+                ("seed", Sep_util.Json.Int seed);
+                ("masked", Sep_util.Json.Int masked);
+                ("detected_safe", Sep_util.Json.Int detected);
+                ("recovered_safe", Sep_util.Json.Int recovered);
+                ("violating", Sep_util.Json.Int violating);
+                ("ok", Sep_util.Json.Bool ok);
+              ];
+          ]));
   if ok then 0 else 1
 
 let recover_cmd =
@@ -908,11 +877,7 @@ let federate_run seed jobs steps count smoke chaos json_file =
              monitor %s@."
             r.FC.fr_label (List.length r.FC.fr_cases) m d rc v
             (if FC.monitor_clean r then "clean" else "VIOLATION");
-          List.iter
-            (fun (c : FC.case) ->
-              if c.FC.fc_outcome = Sep_robust.Campaign.Violating then
-                Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.FC.fc_plan)
-            r.FC.fr_cases;
+          print_violations (List.map (fun (c : FC.case) -> (c.FC.fc_outcome, c.FC.fc_plan)) r.FC.fr_cases);
           r)
         specs
     end
@@ -923,38 +888,26 @@ let federate_run seed jobs steps count smoke chaos json_file =
     (if ok then "HOLDS"
      else if not ideal_ok then "VIOLATED (federation diverged from the monolithic ideal)"
      else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    let line j =
-      let buf = Buffer.create 256 in
-      Sep_util.Json.to_buffer buf j;
-      Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf)
-    in
-    List.iter
-      (fun ((spec : F.spec), (ob : F.observation), mism) ->
-        line
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "fed-run");
-               ("scenario", Sep_util.Json.String spec.F.fs_label);
-               ("steps", Sep_util.Json.Int steps);
-               ("delivered", Sep_util.Json.Int ob.F.fob_delivered);
-               ("frame_rejects", Sep_util.Json.Int ob.F.fob_frame_rejects);
-               ( "events",
-                 Sep_util.Json.List
-                   (List.map (fun (_, e) -> F.node_event_to_json e) ob.F.fob_events) );
-               ("stats", link_stats_json ob.F.fob_stats);
-               ( "ideal_mismatches",
-                 Sep_util.Json.List (List.map (fun (_, _, m) -> Sep_util.Json.String m) mism) );
-             ]))
-      clean;
-    List.iter (fun r -> output_string oc (FC.report_to_jsonl r)) reports;
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+  write_jsonl json_file
+    (Sep_robust.Campaign.jsonl
+       (List.map
+          (fun ((spec : F.spec), (ob : F.observation), mism) ->
+            Sep_util.Json.Obj
+              [
+                ("kind", Sep_util.Json.String "fed-run");
+                ("scenario", Sep_util.Json.String spec.F.fs_label);
+                ("steps", Sep_util.Json.Int steps);
+                ("delivered", Sep_util.Json.Int ob.F.fob_delivered);
+                ("frame_rejects", Sep_util.Json.Int ob.F.fob_frame_rejects);
+                ( "events",
+                  Sep_util.Json.List
+                    (List.map (fun (_, e) -> F.node_event_to_json e) ob.F.fob_events) );
+                ("stats", link_stats_json ob.F.fob_stats);
+                ( "ideal_mismatches",
+                  Sep_util.Json.List (List.map (fun (_, _, m) -> Sep_util.Json.String m) mism) );
+              ])
+          clean)
+    ^ String.concat "" (List.map FC.report_to_jsonl reports));
   if ok then 0 else 1
 
 let federate_cmd =
@@ -1024,11 +977,7 @@ let serve_run seed jobs steps soak smoke soak_mode service json_file chrome =
           (sum (fun c -> c.SC.sc_shed))
           (if SC.contracts_ok r then "ok" else "BROKEN")
           (if SC.monitor_clean r then "clean" else "VIOLATION");
-        List.iter
-          (fun (c : SC.case) ->
-            if c.SC.sc_outcome = Sep_robust.Campaign.Violating then
-              Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.SC.sc_plan)
-          r.SC.sv_cases;
+        print_violations (List.map (fun (c : SC.case) -> (c.SC.sc_outcome, c.SC.sc_plan)) r.SC.sv_cases);
         r)
       deployments
   in
@@ -1036,14 +985,7 @@ let serve_run seed jobs steps soak smoke soak_mode service json_file chrome =
   Fmt.pr "@.service contract %s@."
     (if ok then "HOLDS (every accepted request: exactly-once effect or definite failure)"
      else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    List.iter (fun r -> output_string oc (SC.report_to_jsonl r)) reports;
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+  write_jsonl json_file (String.concat "" (List.map SC.report_to_jsonl reports));
   (match chrome with None -> () | Some file -> write_chrome file);
   if ok then 0 else 1
 

@@ -9,6 +9,7 @@ module Sue = Sep_core.Sue
 module Regime_kernel = Sep_core.Regime_kernel
 module Net = Sep_distributed.Net
 module Fed = Sep_fed.Fed
+module Campaign = Sep_robust.Campaign
 
 let inert_program = [ Isa.Label "loop"; Isa.Instr (Isa.Trap 0); Isa.Branch "loop" ]
 
@@ -58,14 +59,6 @@ let observed_tx ?(bugs = []) ?(impl = Sue.Microcode) ?(settle = 48) cfg ~schedul
     (List.init ndev (fun d ->
          if Machine.device_kind m d = Machine.Tx then [ (d, per_dev.(d)) ] else []))
 
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
-let prefix_compatible a b = is_prefix a b || is_prefix b a
-
 let solo_check ?impl ?settle cfg ~schedule =
   let whole = observed_tx ?impl ?settle cfg ~schedule in
   (* device ownership is part of the static configuration, so any build
@@ -79,7 +72,7 @@ let solo_check ?impl ?settle cfg ~schedule =
           if not (Colour.equal (Sue.device_owner probe d) colour) then None
           else
             let solo_words = try List.assoc d solo with Not_found -> [] in
-            if prefix_compatible whole_words solo_words then None
+            if Campaign.prefix_compatible whole_words solo_words then None
             else
               Some
                 ( colour,
@@ -232,7 +225,7 @@ let kernel_vs_reliable_net_case ?(link = Net.default_link_model) ~seed ~steps ()
           (fun (w, got_words) ->
             delivered := !delivered + List.length got_words;
             let ideal_words = try List.assoc w ideal with Not_found -> [] in
-            if is_prefix got_words ideal_words then None
+            if Campaign.is_prefix got_words ideal_words then None
             else
               Some
                 (Fmt.str "%s wire %d: lossy run says %a, ideal says %a (seed %d)" (Colour.name c)
@@ -301,7 +294,7 @@ let federation_vs_ideal ?plan ?(steps = 600) (spec : Fed.spec) =
   List.filter_map
     (fun (d, fed_words) ->
       let ideal_words = try List.assoc d ideal with Not_found -> [] in
-      if prefix_compatible fed_words ideal_words then None
+      if Campaign.prefix_compatible fed_words ideal_words then None
       else
         Some
           ( Fed.device_owner_colour t d,

@@ -10,6 +10,7 @@ module Abstract_regime = Sep_core.Abstract_regime
 module Net = Sep_distributed.Net
 module Recover = Sep_recover.Recover
 module Fault_plan = Sep_robust.Fault_plan
+module Campaign = Sep_robust.Campaign
 module J = Sep_util.Json
 
 (* -- Specs ------------------------------------------------------------------ *)
@@ -123,22 +124,13 @@ let node_event_to_json e =
 
 (* -- Frames ----------------------------------------------------------------- *)
 
-(* Inter-shard frames are strings on Net wires: "ch|<chan>|<word>|<ck>"
-   for channel words, "hb|<shard>" for heartbeats. The checksum is the
-   end-to-end integrity check the federation adds on top of the link
-   protocol: the go-back-N layer recovers loss, the checksum rejects
-   forgery. *)
-let cksum chan word = ((chan * 131) + (word * 31) + 7) land 0xffff
-
-(* The legacy single-word frame encoder: emission is all-batch now, but
-   the format stays decodable (and encodable, for mixed-version tests). *)
-let[@warning "-32"] chan_msg chan word = Printf.sprintf "ch|%d|%d|%d" chan word (cksum chan word)
-
-(* A batched frame carries a whole ring drain in one go:
-   "cb|<chan>|<n>|<w0>,<w1>,...|<ck>". The checksum folds every word, so
-   dropping, reordering or forging any word inside the batch is caught
-   exactly as it would be frame-by-frame. Single-word "ch|" frames stay
-   parseable for mixed-version traffic. *)
+(* Inter-shard frames are strings on Net wires. A channel frame carries a
+   whole ring drain in one go: "cb|<chan>|<n>|<w0>,<w1>,...|<ck>";
+   "hb|<shard>" is a heartbeat. The checksum is the end-to-end integrity
+   check the federation adds on top of the link protocol: the go-back-N
+   layer recovers loss, the checksum rejects forgery. It folds every word,
+   so dropping, reordering or forging any word inside the batch is
+   caught. *)
 let batch_cksum chan words =
   List.fold_left (fun acc w -> ((acc * 31) + w + 11) land 0xffff) (((chan * 131) + 7) land 0xffff) words
 
@@ -157,10 +149,6 @@ type payload =
 let parse_payload s =
   match String.split_on_char '|' s with
   | [ "hb"; sh ] -> ( match int_of_string_opt sh with Some s -> P_hb s | None -> P_bad)
-  | [ "ch"; c; w; k ] -> (
-    match (int_of_string_opt c, int_of_string_opt w, int_of_string_opt k) with
-    | Some c, Some w, Some k when k = cksum c w && c >= 0 -> P_chan (c, [ w ])
-    | _ -> P_bad)
   | [ "cb"; c; n; ws; k ] -> (
     match (int_of_string_opt c, int_of_string_opt n, int_of_string_opt k) with
     | Some c, Some n, Some k when c >= 0 && n >= 1 ->
@@ -426,38 +414,11 @@ let shard_of t c = shard_of_spec t.spec c
 
 (* -- Fault application ------------------------------------------------------ *)
 
-let flip_phys m a bit = Machine.write_phys m a (Machine.read_phys m a lxor (1 lsl bit))
-
 (* Machine-level faults strike the kernel instance that actually hosts the
    damaged domain — the same physical events Campaign injects against a
    single kernel, located in the federation by its placement. *)
-let apply_at t s (f : Fault_plan.fault) =
-  let k = t.kernels.(s) in
-  let m = Sue.machine k in
-  match f with
-  | Mem_flip { colour; offset; bit } ->
-    let base, size = Sue.partition_bounds k colour in
-    flip_phys m (base + (offset mod size)) bit
-  | Saved_reg_flip { colour; slot; bit } -> flip_phys m (Sue.save_area_base k colour + slot) bit
-  | Guard_smash { index } ->
-    let guards = Array.of_list (Sue.guard_addrs k) in
-    flip_phys m guards.(index mod Array.length guards) 7
-  | Chan_flip { chan; which; word; bit } -> begin
-    match Sue.channel_area k chan with
-    | None -> ()
-    | Some (send_area, recv_area, cap) ->
-      let area =
-        match which with Fault_plan.Send_end -> send_area | Fault_plan.Recv_end -> recv_area
-      in
-      flip_phys m (area + (word mod (cap + 2))) bit
-  end
-  | Rx_latch_flip { device; bit } ->
-    let data, status = Machine.device_regs m device in
-    Machine.set_device_regs m device ~data:(data lxor (1 lsl bit)) ~status
-  | Spurious_irq { device } -> Machine.raise_irq m device
-  | _ -> ()
-
 let apply_fault t n (f : Fault_plan.fault) =
+  let strike_on s = Campaign.strike t.kernels.(s) f in
   match f with
   | Shard_crash { shard } ->
     let s = shard mod t.nshards in
@@ -477,8 +438,8 @@ let apply_fault t n (f : Fault_plan.fault) =
     let w = link mod t.nwires in
     let hit = Net.tamper t.net ~wire:w (fun m -> Some (m ^ "!")) in
     event t n (Link_tampered (w, hit))
-  | Mem_flip { colour; _ } | Saved_reg_flip { colour; _ } -> apply_at t (shard_of t colour) f
-  | Guard_smash { index } -> apply_at t (index mod t.nshards) f
+  | Mem_flip { colour; _ } | Saved_reg_flip { colour; _ } -> strike_on (shard_of t colour)
+  | Guard_smash { index } -> strike_on (index mod t.nshards)
   | Chan_flip { chan; which; _ } -> begin
     match List.nth_opt t.spec.fs_cfg.Config.channels chan with
     | None -> ()
@@ -488,10 +449,10 @@ let apply_fault t n (f : Fault_plan.fault) =
         | Fault_plan.Send_end -> ch.Config.sender
         | Fault_plan.Recv_end -> ch.Config.receiver
       in
-      apply_at t (shard_of t c) f
+      strike_on (shard_of t c)
   end
   | Rx_latch_flip { device; _ } | Spurious_irq { device } ->
-    apply_at t t.device_shard.(device) f
+    strike_on t.device_shard.(device)
   | Drop_input { device } -> t.pending_drops <- device :: t.pending_drops
   | Duplicate_irq { device } -> t.dup_after <- device :: t.dup_after
   | Stuck_device { device } -> t.stuck <- device :: t.stuck
@@ -636,13 +597,6 @@ let supervise t n =
 
 (* -- Stepping --------------------------------------------------------------- *)
 
-let remove_one x xs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
-  in
-  go [] xs
-
 let force_stuck t =
   List.iter
     (fun d ->
@@ -674,9 +628,7 @@ let step t =
   for s = t.nshards - 1 downto 0 do
     if t.powered.(s) then begin
       (* Batched NIC copies: one frame per drained ring, however many
-         words it held — the ROADMAP's first federation throughput
-         optimization. A single-word drain still rides the batch frame;
-         the legacy per-word codec remains accepted on arrival. *)
+         words it held. A single-word drain rides the batch frame too. *)
       Array.iter
         (fun rt ->
           if rt.rt_src = s then
@@ -719,7 +671,7 @@ let step t =
                    && snd (Machine.device_regs m d) = 0
                  then
                    if List.mem d t.pending_drops then begin
-                     t.pending_drops <- remove_one d t.pending_drops;
+                     t.pending_drops <- Campaign.remove_one d t.pending_drops;
                      ignore (Queue.pop t.queues.(d));
                      []
                    end
@@ -778,15 +730,10 @@ let finish t =
   done;
   let detections = ref [] and recoveries = ref [] and wd = ref 0 in
   for s = 0 to t.nshards - 1 do
-    let recs, rest =
-      List.partition
-        (function Sue.Regime_restart _ | Sue.Warm_reboot -> true | _ -> false)
-        (Sue.drain_faults t.kernels.(s))
-    in
-    let corrupt, wdl = List.partition (function Sue.Watchdog_expired _ -> false | _ -> true) rest in
-    detections := !detections @ corrupt;
-    recoveries := !recoveries @ recs;
-    wd := !wd + List.length wdl
+    let d, r, w = Campaign.drain_faults t.kernels.(s) in
+    detections := !detections @ d;
+    recoveries := !recoveries @ r;
+    wd := !wd + w
   done;
   let per_dev = Array.make (max 1 t.ndev) [] in
   List.iter (fun (d, w) -> per_dev.(d) <- w :: per_dev.(d)) (List.rev t.flat_out);

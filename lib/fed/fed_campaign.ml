@@ -77,21 +77,7 @@ let targets_of spec (plan : Fault_plan.t) =
   in
   List.sort_uniq Colour.compare (List.concat_map (fun (_, f) -> of_fault f) plan.Fault_plan.faults)
 
-(* -- Comparison ------------------------------------------------------------- *)
-
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
-let sequences_diverge a b = not (is_prefix a b || is_prefix b a)
-
-let colour_diverged t reference faulty c =
-  List.exists2
-    (fun (d, ref_words) (_, got_words) ->
-      Colour.equal (Fed.device_owner_colour t d) c && sequences_diverge ref_words got_words)
-    reference.Fed.fob_outputs faulty.Fed.fob_outputs
+(* -- Classification ---------------------------------------------------------- *)
 
 (* The federation's "did the system notice" evidence: kernel-level
    corruption detections, checksum-rejected frames, and the supervisor
@@ -118,22 +104,20 @@ let classify t spec ~reference ~faulty (plan : Fault_plan.t) =
   let targets = targets_of spec plan in
   let targeted c = List.exists (Colour.equal c) targets in
   let colours = Config.colours spec.Fed.fs_cfg in
-  let others_diverged =
-    List.exists (fun c -> (not (targeted c)) && colour_diverged t reference faulty c) colours
+  let diverged =
+    Campaign.colour_diverged ~owner:(Fed.device_owner_colour t) reference.Fed.fob_outputs
+      faulty.Fed.fob_outputs
   in
   let perturbed c =
-    colour_diverged t reference faulty c
-    || List.assoc c faulty.Fed.fob_status <> List.assoc c reference.Fed.fob_status
+    diverged c || List.assoc c faulty.Fed.fob_status <> List.assoc c reference.Fed.fob_status
   in
   let victim_perturbed = List.exists (fun c -> targeted c && perturbed c) colours in
-  let parked_at_end =
-    List.exists (fun (_, s) -> s = Abstract_regime.Parked) faulty.Fed.fob_status
-  in
-  let outcome : Campaign.outcome =
-    if others_diverged then Violating
-    else if recovered faulty && not parked_at_end then Recovered_safe
-    else if noticed faulty then Detected_safe
-    else Masked
+  let outcome =
+    Campaign.decide
+      ~violating:(List.exists (fun c -> (not (targeted c)) && diverged c) colours)
+      ~recovered:(recovered faulty)
+      ~parked_at_end:(List.exists (fun (_, s) -> s = Abstract_regime.Parked) faulty.Fed.fob_status)
+      ~noticed:(noticed faulty)
   in
   {
     fc_plan = plan;
@@ -151,7 +135,8 @@ let classify t spec ~reference ~faulty (plan : Fault_plan.t) =
 (* -- Plans ------------------------------------------------------------------ *)
 
 (* Directed plans guarantee chaos coverage whatever the seed draws: one
-   crash per shard, one partition and one tamper per physical wire. *)
+   crash per shard, one partition and one tamper per physical wire, all
+   striking at steps/3. *)
 let directed spec ~steps =
   let at = max 1 (steps / 3) in
   let shards = List.init (Fed.nshards_of spec) Fun.id in
@@ -178,6 +163,8 @@ let directed spec ~steps =
         })
       wires
 
+(* The directed plans, then [count] seeded single-fault plans drawn over
+   the widened node space, then [count/2] two-fault stress plans. *)
 let plans spec ~seed ~steps ~count =
   let nodes = Fed.node_space spec in
   directed spec ~steps
@@ -205,20 +192,10 @@ let run ?jobs ?(monitor = true) ?policy ~seed ~steps ~count spec =
   in
   { fr_label = spec.Fed.fs_label; fr_seed = seed; fr_steps = steps; fr_cases }
 
-let holds r =
-  List.for_all (fun c -> c.fc_outcome <> Campaign.Violating) r.fr_cases
-
+let outcomes r = List.map (fun c -> c.fc_outcome) r.fr_cases
+let holds r = Campaign.violation_free (outcomes r)
 let monitor_clean r = List.for_all (fun c -> c.fc_first_violation = None) r.fr_cases
-
-let totals r =
-  List.fold_left
-    (fun (m, d, rc, v) c ->
-      match c.fc_outcome with
-      | Campaign.Masked -> (m + 1, d, rc, v)
-      | Campaign.Detected_safe -> (m, d + 1, rc, v)
-      | Campaign.Recovered_safe -> (m, d, rc + 1, v)
-      | Campaign.Violating -> (m, d, rc, v + 1))
-    (0, 0, 0, 0) r.fr_cases
+let totals r = Campaign.tally (outcomes r)
 
 let case_to_json r c =
   J.Obj
@@ -259,13 +236,4 @@ let summary_json r =
       ("monitor_clean", J.Bool (monitor_clean r));
     ]
 
-let report_to_jsonl r =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun c ->
-      Buffer.add_string buf (J.to_string (case_to_json r c));
-      Buffer.add_char buf '\n')
-    r.fr_cases;
-  Buffer.add_string buf (J.to_string (summary_json r));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let report_to_jsonl r = Campaign.jsonl (List.map (case_to_json r) r.fr_cases @ [ summary_json r ])

@@ -5,18 +5,21 @@
     ideal, a crashed box, a severed line or a forged frame cannot corrupt
     any box it does not house or connect. The federation must earn the
     same containment — every injected node fault is replayed against a
-    fault-free reference and classified with {!Sep_robust.Campaign}'s
-    outcome lattice, with the target now a {e set} of colours computed
-    from the placement {e and the channel graph}: because federation
-    channels actually deliver (the single-kernel campaign runs with every
-    channel cut), a corrupted word legitimately reaches whoever the
-    configuration lets the victim talk to, so data-corrupting faults
+    fault-free reference and classified on {!Sep_robust.Campaign}'s
+    outcome lattice (stated once there), with the target now a {e set}
+    of colours computed from the placement {e and the channel graph}:
+    because federation channels actually deliver (the single-kernel
+    campaign runs with every channel cut), a corrupted word legitimately
+    reaches whoever the configuration lets the victim talk to, so
+    data-corrupting faults
     close their target set over downstream declared channels — Rushby's
     property is channel control, not silence. Delay-only faults stay
     un-closed: a crash targets exactly what its shard hosts (checkpointed
     replay re-sends the same words, merely later), and a partition
     targets {b nobody} — the reliable links owe delay-only semantics, so
-    any divergence at all under a severed wire is a violation.
+    any divergence at all under a severed wire is a violation. The
+    federation's evidence feeds the lattice through {!noticed} and
+    {!recovered}.
 
     Every faulty replay runs with the online separability monitor
     attached to all shards (unless disabled); [monitor_clean] is the
@@ -48,15 +51,15 @@ type report = {
   fr_cases : case list;
 }
 
-val targets_of : Fed.spec -> Fault_plan.t -> Colour.t list
+val noticed : Fed.observation -> bool
+(** The federation noticed the fault: a kernel-level corruption
+    detection, a checksum-rejected frame, or the supervisor seeing a node
+    down or quarantined. Injection events and routine heals do not
+    count. *)
 
-val directed : Fed.spec -> steps:int -> Fault_plan.t list
-(** Coverage floor independent of the seed: one crash per shard, one
-    partition and one tamper per physical wire, striking at steps/3. *)
-
-val plans : Fed.spec -> seed:int -> steps:int -> count:int -> Fault_plan.t list
-(** {!directed} plans, then [count] seeded single-fault plans drawn over
-    the widened node space, then [count/2] two-fault stress plans. *)
+val recovered : Fed.observation -> bool
+(** The federation recovered something: a regime restart or warm reboot
+    on some shard, a node failover or a node rejoin. *)
 
 val run :
   ?jobs:int -> ?monitor:bool -> ?policy:Fed.policy -> seed:int -> steps:int -> count:int ->
@@ -77,7 +80,6 @@ val monitor_clean : report -> bool
 val totals : report -> int * int * int * int
 (** (masked, detected-safe, recovered-safe, violating). *)
 
-val case_to_json : report -> case -> Sep_util.Json.t
 val summary_json : report -> Sep_util.Json.t
 
 val report_to_jsonl : report -> string

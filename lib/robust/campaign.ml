@@ -77,6 +77,104 @@ let drip (sc : Scenarios.instance) =
       alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
     else []
 
+(* -- The shared fault-campaign core ------------------------------------------- *)
+
+(* The E14 precedence, in one place for every campaign. Recovered-safe
+   demands full recovery: a recovery action happened and nothing stayed
+   parked. A run where recovery was attempted but some regime is still
+   down at the end only earns detected-safe. *)
+let decide ~violating ~recovered ~parked_at_end ~noticed =
+  if violating then Violating
+  else if recovered && not parked_at_end then Recovered_safe
+  else if noticed then Detected_safe
+  else Masked
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' -> x = y && is_prefix a' b'
+
+let prefix_compatible a b = is_prefix a b || is_prefix b a
+
+(* Order-preserving comparison, step indices deliberately dropped: parking
+   or slowing one regime shifts every other regime's timing (the paper
+   excludes timing channels), so observing more or fewer words of the
+   same sequence is not divergence — different words are. *)
+let colour_diverged ~owner reference faulty c =
+  List.exists2
+    (fun (d, ref_words) (_, got_words) ->
+      Colour.equal (owner d) c && not (prefix_compatible ref_words got_words))
+    reference faulty
+
+let flip_phys m a bit = Machine.write_phys m a (Machine.read_phys m a lxor (1 lsl bit))
+
+let strike t (fault : Fault_plan.fault) =
+  let m = Sue.machine t in
+  match fault with
+  | Mem_flip { colour; offset; bit } ->
+    let base, size = Sue.partition_bounds t colour in
+    flip_phys m (base + (offset mod size)) bit
+  | Saved_reg_flip { colour; slot; bit } -> flip_phys m (Sue.save_area_base t colour + slot) bit
+  | Guard_smash { index } ->
+    let guards = Array.of_list (Sue.guard_addrs t) in
+    flip_phys m guards.(index mod Array.length guards) 7
+  | Chan_flip { chan; which; word; bit } -> begin
+    match Sue.channel_area t chan with
+    | None -> ()
+    | Some (send_area, recv_area, cap) ->
+      let area = match which with Fault_plan.Send_end -> send_area | Fault_plan.Recv_end -> recv_area in
+      flip_phys m (area + (word mod (cap + 2))) bit
+  end
+  | Rx_latch_flip { device; bit } ->
+    let data, status = Machine.device_regs m device in
+    Machine.set_device_regs m device ~data:(data lxor (1 lsl bit)) ~status
+  | Spurious_irq { device } -> Machine.raise_irq m device
+  | Drop_input _ | Duplicate_irq _ | Stuck_device _ | Shard_crash _ | Link_partition _
+  | Frame_tamper _ -> ()
+
+let remove_one x xs =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
+  in
+  go [] xs
+
+(* Three ways: recovery actions (restart, warm reboot), liveness events
+   (watchdog fires), corruption detections (everything else, checkpoint
+   corruption included). Without a supervisor the recovery bucket is
+   empty and the split is exactly the corrupt/watchdog partition. *)
+let drain_faults t =
+  let recoveries, rest =
+    List.partition
+      (function Sue.Regime_restart _ | Sue.Warm_reboot -> true | _ -> false)
+      (Sue.drain_faults t)
+  in
+  let detections, wd =
+    List.partition (function Sue.Watchdog_expired _ -> false | _ -> true) rest
+  in
+  (detections, recoveries, List.length wd)
+
+let tally outcomes =
+  List.fold_left
+    (fun (m, d, r, v) -> function
+      | Masked -> (m + 1, d, r, v)
+      | Detected_safe -> (m, d + 1, r, v)
+      | Recovered_safe -> (m, d, r + 1, v)
+      | Violating -> (m, d, r, v + 1))
+    (0, 0, 0, 0) outcomes
+
+let violation_free outcomes = not (List.mem Violating outcomes)
+
+let jsonl lines =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun j ->
+      J.to_buffer buf j;
+      Buffer.add_char buf '\n')
+    lines;
+  Buffer.contents buf
+
 (* -- The stepping wrapper -------------------------------------------------- *)
 
 type runner = {
@@ -87,43 +185,12 @@ type runner = {
   mutable dup_after : int list;  (* IRQs to re-assert after this step *)
 }
 
-let flip_phys m a bit = Machine.write_phys m a (Machine.read_phys m a lxor (1 lsl bit))
-
-let apply r fault =
-  let m = Sue.machine r.t in
-  match (fault : Fault_plan.fault) with
-  | Mem_flip { colour; offset; bit } ->
-    let base, size = Sue.partition_bounds r.t colour in
-    flip_phys m (base + (offset mod size)) bit
-  | Saved_reg_flip { colour; slot; bit } -> flip_phys m (Sue.save_area_base r.t colour + slot) bit
-  | Guard_smash { index } ->
-    let guards = Array.of_list (Sue.guard_addrs r.t) in
-    flip_phys m guards.(index mod Array.length guards) 7
-  | Chan_flip { chan; which; word; bit } -> begin
-    match Sue.channel_area r.t chan with
-    | None -> ()
-    | Some (send_area, recv_area, cap) ->
-      let area = match which with Fault_plan.Send_end -> send_area | Fault_plan.Recv_end -> recv_area in
-      flip_phys m (area + (word mod (cap + 2))) bit
-  end
-  | Rx_latch_flip { device; bit } ->
-    let data, status = Machine.device_regs m device in
-    Machine.set_device_regs m device ~data:(data lxor (1 lsl bit)) ~status
+let apply r (fault : Fault_plan.fault) =
+  match fault with
   | Drop_input { device } -> r.pending_drops <- device :: r.pending_drops
-  | Spurious_irq { device } -> Machine.raise_irq m device
   | Duplicate_irq { device } -> r.dup_after <- device :: r.dup_after
   | Stuck_device { device } -> r.stuck <- device :: r.stuck
-  (* Node-level faults have no meaning against a single kernel; the
-     federation driver ({!Sep_fed.Fed}) applies them. Single-kernel plans
-     never contain them (no [node_space] is ever passed here). *)
-  | Shard_crash _ | Link_partition _ | Frame_tamper _ -> ()
-
-let remove_one x xs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
-  in
-  go [] xs
+  | f -> strike r.t f
 
 let force_stuck r =
   let m = Sue.machine r.t in
@@ -159,7 +226,7 @@ let step r n input =
   r.dup_after <- [];
   out
 
-(* -- Observation and comparison -------------------------------------------- *)
+(* -- Observation ------------------------------------------------------------- *)
 
 type observation = {
   ob_outputs : (int * int list) list;  (* per Tx device, words in order *)
@@ -215,18 +282,7 @@ let observe_run ?watchdog ?recover ?(hook = fun _ () -> ()) (sc : Scenarios.inst
   done;
   ignore (Sue.guard_sweep t);
   supervise ();
-  (* Three ways: recovery actions (restart, warm reboot), liveness events
-     (watchdog fires), corruption detections (everything else, checkpoint
-     corruption included). Without a supervisor the recovery bucket is
-     empty and the split is exactly the old corrupt/watchdog partition. *)
-  let recoveries, rest =
-    List.partition
-      (function Sue.Regime_restart _ | Sue.Warm_reboot -> true | _ -> false)
-      (Sue.drain_faults t)
-  in
-  let corrupt, wd =
-    List.partition (function Sue.Watchdog_expired _ -> false | _ -> true) rest
-  in
+  let ob_detections, ob_recoveries, ob_wd_fires = drain_faults t in
   let per_dev = Hashtbl.create 8 in
   for d = 0 to ndev - 1 do
     Hashtbl.add per_dev d []
@@ -234,27 +290,7 @@ let observe_run ?watchdog ?recover ?(hook = fun _ () -> ()) (sc : Scenarios.inst
   List.iter (fun (d, w) -> Hashtbl.replace per_dev d (w :: Hashtbl.find per_dev d)) (List.rev !flat);
   let ob_outputs = List.init ndev (fun d -> (d, List.rev (Hashtbl.find per_dev d))) in
   let ob_status = List.map (fun c -> (c, Sue.regime_status t c)) (Config.colours sc.Scenarios.cfg) in
-  ( { ob_outputs; ob_status; ob_detections = corrupt; ob_recoveries = recoveries;
-      ob_wd_fires = List.length wd },
-    t )
-
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
-(* Order-preserving comparison, step indices deliberately dropped: parking
-   or slowing one regime shifts every other regime's timing (the paper
-   excludes timing channels), so observing more or fewer words of the
-   same sequence is not divergence — different words are. *)
-let sequences_diverge a b = not (is_prefix a b || is_prefix b a)
-
-let colour_diverged reference faulty t c =
-  List.exists2
-    (fun (d, ref_words) (_, got_words) ->
-      Colour.equal (Sue.device_owner t d) c && sequences_diverge ref_words got_words)
-    reference.ob_outputs faulty.ob_outputs
+  ({ ob_outputs; ob_status; ob_detections; ob_recoveries; ob_wd_fires }, t)
 
 (* -- Classification -------------------------------------------------------- *)
 
@@ -276,27 +312,19 @@ let classify ~cfg ~reference ~faulty ~t (plan : Fault_plan.t) =
       plan.Fault_plan.faults
   in
   let colours = Config.colours cfg in
+  let diverged = colour_diverged ~owner:(Sue.device_owner t) reference.ob_outputs faulty.ob_outputs in
   let perturbed v =
-    colour_diverged reference faulty t v
-    || List.assoc v faulty.ob_status <> List.assoc v reference.ob_status
-  in
-  let others_diverged =
-    List.exists (fun c -> (not (targeted c)) && colour_diverged reference faulty t c) colours
+    diverged v || List.assoc v faulty.ob_status <> List.assoc v reference.ob_status
   in
   let victim_perturbed = List.exists (fun c -> targeted c && perturbed c) colours in
-  (* Recovered-safe demands full recovery: a recovery action happened and
-     nothing stayed parked. A run where recovery was attempted but some
-     regime is still down at the end only earns detected-safe. Without a
-     supervisor [ob_recoveries] is empty and this is the old
-     classification verbatim. *)
-  let parked_at_end =
-    List.exists (fun (_, s) -> s = Abstract_regime.Parked) faulty.ob_status
-  in
+  (* Without a supervisor [ob_recoveries] is empty and Recovered_safe
+     never arises. *)
   let outcome =
-    if others_diverged then Violating
-    else if faulty.ob_recoveries <> [] && not parked_at_end then Recovered_safe
-    else if faulty.ob_detections <> [] then Detected_safe
-    else Masked
+    decide
+      ~violating:(List.exists (fun c -> (not (targeted c)) && diverged c) colours)
+      ~recovered:(faulty.ob_recoveries <> [])
+      ~parked_at_end:(List.exists (fun (_, s) -> s = Abstract_regime.Parked) faulty.ob_status)
+      ~noticed:(faulty.ob_detections <> [])
   in
   {
     plan;
@@ -338,23 +366,6 @@ let monitored_case ?watchdog ?recover ?(period = 32) ~steps ~plan (sc : Scenario
 let scenario_seed seed label =
   String.fold_left (fun acc ch -> ((acc * 31) + Char.code ch) land 0x3fffffff) seed label
 
-let run_scenario ?watchdog ?recover ?(multi = 0) ~seed ~steps ~count (sc : Scenarios.instance) =
-  (* The reference is fault-free, so nothing ever parks and a supervisor
-     would have nothing to do: run it bare. *)
-  let reference, _ = observe_run ?watchdog sc ~steps ~plan:None in
-  let plans =
-    Fault_plan.generate ~seed ~steps ~count sc.Scenarios.cfg
-    @ (if multi > 0 then
-         Fault_plan.generate_multi ~seed ~steps ~count:multi ~faults_per_plan:3
-           sc.Scenarios.cfg
-       else [])
-  in
-  let run_case plan =
-    let faulty, t = observe_run ?watchdog ?recover sc ~steps ~plan:(Some plan) in
-    classify ~cfg:sc.Scenarios.cfg ~reference ~faulty ~t plan
-  in
-  { label = sc.Scenarios.label; seed; steps; watchdog; cases = List.map run_case plans }
-
 (* The parallel campaign driver. Every fault plan is replayed against an
    isolated fresh kernel and classified against its scenario's fault-free
    reference — embarrassingly parallel, and fully deterministic: plan
@@ -362,7 +373,8 @@ let run_scenario ?watchdog ?recover ?(multi = 0) ~seed ~steps ~count (sc : Scena
    sharding cases over domains and merging them back in canonical
    (scenario-major, plan-minor) order is bit-identical to [jobs = 1].
    Phase one runs the per-scenario references in parallel; phase two the
-   flattened case list. *)
+   flattened case list. A reference is fault-free, so nothing in it ever
+   parks and a supervisor would have nothing to do: it runs bare. *)
 let run_catalogue ?recover ?(multi = 0) ?jobs ~seed ~steps ~count () =
   let scenarios =
     List.map (fun (sc, wd) -> (sc, wd, scenario_seed seed sc.Scenarios.label)) catalogue
@@ -416,22 +428,11 @@ let run ?jobs ~seed ~steps ~count () = run_catalogue ?jobs ~seed ~steps ~count (
 let run_recovery ?(policy = Recover.default_policy) ?jobs ~seed ~steps ~count () =
   run_catalogue ~recover:policy ~multi:(max 1 (count / 2)) ?jobs ~seed ~steps ~count ()
 
-let totals report =
-  List.fold_left
-    (fun (m, d, r, v) sr ->
-      List.fold_left
-        (fun (m, d, r, v) case ->
-          match case.outcome with
-          | Masked -> (m + 1, d, r, v)
-          | Detected_safe -> (m, d + 1, r, v)
-          | Recovered_safe -> (m, d, r + 1, v)
-          | Violating -> (m, d, r, v + 1))
-        (m, d, r, v) sr.cases)
-    (0, 0, 0, 0) report.rp_scenarios
+let outcomes report =
+  List.concat_map (fun sr -> List.map (fun case -> case.outcome) sr.cases) report.rp_scenarios
 
-let holds report =
-  let _, _, _, v = totals report in
-  v = 0
+let totals report = tally (outcomes report)
+let holds report = violation_free (outcomes report)
 
 (* -- Reporting ------------------------------------------------------------- *)
 
@@ -478,18 +479,9 @@ let summary_json report =
     ]
 
 let report_to_jsonl report =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun sr ->
-      List.iter
-        (fun case ->
-          J.to_buffer buf (case_to_json sr case);
-          Buffer.add_char buf '\n')
-        sr.cases)
-    report.rp_scenarios;
-  J.to_buffer buf (summary_json report);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  jsonl
+    (List.concat_map (fun sr -> List.map (case_to_json sr) sr.cases) report.rp_scenarios
+    @ [ summary_json report ])
 
 (* -- The distributed baseline ---------------------------------------------- *)
 

@@ -21,17 +21,21 @@
     external world doubles as a clock and re-imports the excluded timing
     channel through input sampling.
 
-    {b Classification.} For a fault targeting colour [v] (see
-    {!Fault_plan.target}): {e separation-violating} if any colour other
-    than [v] diverges; otherwise {e recovered-safe} if the recovery
-    supervisor acted (a restart or warm reboot appears in the audit log)
-    and no regime is still parked at the end — the fail-operational
-    outcome; otherwise {e detected-safe} if the kernel's hardening
-    audited a corruption (save-area parks, guard breaches, checkpoint
-    corruption, kernel panics — watchdog fires are liveness events and
-    are reported separately); otherwise {e masked}. Perturbation of [v]
-    itself is allowed and recorded: in the distributed ideal too, a fault
-    inside a box may corrupt that box. *)
+    {b The outcome lattice.} Every campaign here — this one, the
+    federation's ({!Sep_fed.Fed_campaign}) and the services'
+    ({!Sep_svc.Svc_campaign}) — classifies a case by the one precedence
+    {!decide} implements: {e separation-violating} if the campaign's
+    violation oracle fired (here: a colour no fault in the plan targets
+    diverged, see {!Fault_plan.target}); otherwise {e recovered-safe} if
+    the recovery supervisor acted (a restart or warm reboot appears in the
+    audit log) and no regime is still parked at the end — the
+    fail-operational outcome; otherwise {e detected-safe} if the system
+    noticed the fault (here: the kernel's hardening audited a corruption —
+    save-area parks, guard breaches, checkpoint corruption, kernel panics;
+    watchdog fires are liveness events and are reported separately);
+    otherwise {e masked}. Perturbation of the target itself is allowed
+    and recorded: in the distributed ideal too, a fault inside a box may
+    corrupt that box. *)
 
 module Colour = Sep_model.Colour
 module Sue = Sep_core.Sue
@@ -72,19 +76,6 @@ val subjects : Scenarios.instance list
 (** The scenario catalogue under test: {!Scenarios.all} plus
     ["greedy-watchdog"], the preemptive instance re-hosted without a
     quantum so only the watchdog keeps both regimes live. *)
-
-val run_scenario :
-  ?watchdog:int ->
-  ?recover:Sep_recover.Recover.policy ->
-  ?multi:int ->
-  seed:int -> steps:int -> count:int -> Scenarios.instance -> scenario_report
-(** Generate [count] single-fault plans (from [seed], specialised to the
-    scenario's configuration) — plus [multi] three-fault plans from
-    {!Fault_plan.generate_multi} when [multi > 0] — and classify each
-    against the fault-free reference. Each case runs on a fresh kernel
-    build; with [recover] a {!Sep_recover.Recover} supervisor ticks after
-    every step, restarting parked regimes and warm-rebooting all-parked
-    kernels under the given budgets. *)
 
 type monitored = {
   mc_case : case;
@@ -133,17 +124,63 @@ val totals : report -> int * int * int * int
 (** (masked, detected-safe, recovered-safe, violating) across all
     scenarios. *)
 
-val case_to_json : scenario_report -> case -> Sep_util.Json.t
-(** One JSONL line: [{"kind": "fault-case", "scenario", "seed", "steps",
-    "plan", "target", "outcome", "victim_perturbed", "detections",
-    "recoveries", "watchdog_delta"}]. *)
-
 val report_to_jsonl : report -> string
 (** One line per case, then one [{"kind": "campaign-summary", ...}] line
     with the totals and the headline verdict. *)
 
 val summary_json : report -> Sep_util.Json.t
 (** The summary object alone (the bench snapshot section). *)
+
+(** {1 The shared core}
+
+    What every campaign runner decides the same way: the kernel,
+    federation and service campaigns all call these. *)
+
+val decide : violating:bool -> recovered:bool -> parked_at_end:bool -> noticed:bool -> outcome
+(** The outcome lattice above: [Violating], else [Recovered_safe] when
+    [recovered] and not [parked_at_end], else [Detected_safe] when
+    [noticed], else [Masked]. *)
+
+val is_prefix : 'a list -> 'a list -> bool
+(** [is_prefix a b]: [a] is an initial segment of [b]. *)
+
+val prefix_compatible : 'a list -> 'a list -> bool
+(** One sequence is a prefix of the other: the same behaviour, observed
+    for more or fewer of its steps. *)
+
+val colour_diverged :
+  owner:(int -> Colour.t) -> (int * int list) list -> (int * int list) list -> Colour.t -> bool
+(** [colour_diverged ~owner reference faulty c]: some Tx device that
+    [owner] assigns to [c] carries word sequences in [reference] and
+    [faulty] (per-device lists, in the same device order) that are not
+    {!prefix_compatible} — genuine content divergence, timing shifts
+    tolerated. *)
+
+val strike : Sue.t -> Fault_plan.fault -> unit
+(** Apply a machine-level fault (memory, save-area, guard, channel-ring
+    and Rx-latch bit flips; spurious IRQs) to one kernel, between
+    instructions. The input-path faults (drops, duplicate IRQs, stuck
+    devices) need the driver's delivery loop, and node-level faults have
+    no meaning against a single kernel, so both are left to the caller:
+    [strike] ignores them. *)
+
+val remove_one : 'a -> 'a list -> 'a list
+(** Drop the first occurrence, if any (a pending input drop consumed). *)
+
+val drain_faults : Sue.t -> Sue.kernel_fault list * Sue.kernel_fault list * int
+(** {!Sep_core.Sue.drain_faults} split three ways: (corruption
+    detections, recovery actions — restarts and warm reboots —, watchdog
+    fires). *)
+
+val tally : outcome list -> int * int * int * int
+(** (masked, detected-safe, recovered-safe, violating). *)
+
+val violation_free : outcome list -> bool
+(** No outcome is [Violating]. *)
+
+val jsonl : Sep_util.Json.t list -> string
+(** One JSON Lines line per value, in order: a report's case lines
+    followed by its summary line. *)
 
 (** {1 The distributed baseline}
 

@@ -1,4 +1,5 @@
 module Fed = Sep_fed.Fed
+module Fed_campaign = Sep_fed.Fed_campaign
 module Fault_plan = Sep_robust.Fault_plan
 module Campaign = Sep_robust.Campaign
 module Telemetry = Sep_obs.Telemetry
@@ -29,6 +30,10 @@ type report = {
 
 (* -- Plans ------------------------------------------------------------------ *)
 
+(* The coverage floor, service-shaped: a clean control case; one crash
+   per replica shard; the same replica crashed three times; every replica
+   crashed at once; one partition and one tamper strike per wire, on a
+   sample of wires. *)
 let directed dep ~steps =
   let m = dep.Svc.dp_replicas in
   let spec = Svc.spec_of dep in
@@ -77,31 +82,16 @@ let plans dep ~seed ~steps ~soak =
    checksum rejects say the system noticed; failovers and rejoins say it
    recovered. The service contract replaces the differential trace
    comparison as the violation oracle — a user can't see traces, but a
-   lost or doubled effect is exactly what they would see. *)
-let noticed (ob : Fed.observation) =
-  ob.Fed.fob_detections <> []
-  || ob.Fed.fob_frame_rejects > 0
-  || List.exists
-       (fun (_, e) ->
-         match e with
-         | Fed.Node_down_detected _ | Fed.Node_quarantined _ | Fed.Frame_rejected _ -> true
-         | _ -> false)
-       ob.Fed.fob_events
-
-let recovered (ob : Fed.observation) =
-  ob.Fed.fob_recoveries <> []
-  || List.exists
-       (fun (_, e) ->
-         match e with Fed.Node_failover _ | Fed.Node_rejoined _ -> true | _ -> false)
-       ob.Fed.fob_events
-
+   lost or doubled effect is exactly what they would see. For the same
+   reason regimes parked at the end do not demote a recovery: the
+   contract, not regime status, is the service's end-state verdict. *)
 let classify (r : Svc.result) tel plan =
   let ob = r.Svc.sr_fed in
-  let outcome : Campaign.outcome =
-    if ob.Fed.fob_first_violation <> None || not r.Svc.sr_contract.Svc.ct_ok then Violating
-    else if recovered ob then Recovered_safe
-    else if noticed ob then Detected_safe
-    else Masked
+  let outcome =
+    Campaign.decide
+      ~violating:(ob.Fed.fob_first_violation <> None || not r.Svc.sr_contract.Svc.ct_ok)
+      ~recovered:(Fed_campaign.recovered ob) ~parked_at_end:false
+      ~noticed:(Fed_campaign.noticed ob)
   in
   let c name =
     match Telemetry.find_counter tel name with
@@ -138,19 +128,11 @@ let run ?jobs ?(monitor = true) ?policy ?tuning ?(soak = 6) ~seed ~steps dep =
   in
   { sv_name = dep.Svc.dp_name; sv_seed = seed; sv_steps = steps; sv_cases }
 
-let holds r = List.for_all (fun c -> c.sc_outcome <> Campaign.Violating) r.sv_cases
+let outcomes r = List.map (fun c -> c.sc_outcome) r.sv_cases
+let holds r = Campaign.violation_free (outcomes r)
 let monitor_clean r = List.for_all (fun c -> c.sc_first_violation = None) r.sv_cases
 let contracts_ok r = List.for_all (fun c -> c.sc_contract.Svc.ct_ok) r.sv_cases
-
-let totals r =
-  List.fold_left
-    (fun (m, d, rc, v) c ->
-      match c.sc_outcome with
-      | Campaign.Masked -> (m + 1, d, rc, v)
-      | Campaign.Detected_safe -> (m, d + 1, rc, v)
-      | Campaign.Recovered_safe -> (m, d, rc + 1, v)
-      | Campaign.Violating -> (m, d, rc, v + 1))
-    (0, 0, 0, 0) r.sv_cases
+let totals r = Campaign.tally (outcomes r)
 
 let case_to_json r c =
   J.Obj
@@ -201,13 +183,4 @@ let summary_json r =
       ("contracts_ok", J.Bool (contracts_ok r));
     ]
 
-let report_to_jsonl r =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun c ->
-      Buffer.add_string buf (J.to_string (case_to_json r c));
-      Buffer.add_char buf '\n')
-    r.sv_cases;
-  Buffer.add_string buf (J.to_string (summary_json r));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let report_to_jsonl r = Campaign.jsonl (List.map (case_to_json r) r.sv_cases @ [ summary_json r ])

@@ -8,15 +8,16 @@
     a full service deployment with the online separability monitor
     attached, then audits the effect ledger against the client records.
 
-    A case is [Violating] when the monitor flagged a separation violation
-    {e or} the service contract broke (a lost, duplicated or orphaned
-    effect, or a request left unresolved); otherwise it is classified by
-    the federation's own evidence — [Recovered_safe] when the supervisor
-    rebooted or rejoined something, [Detected_safe] when it merely
-    noticed, [Masked] when the service rode the fault out with nothing to
-    show but retries. Plans and replays are deterministic in [seed], and
-    cases are independent, so the report is byte-identical at any
-    [jobs]. *)
+    Cases land on {!Sep_robust.Campaign}'s outcome lattice (stated once
+    there). The violation oracle is the service's own: the monitor
+    flagged a separation violation {e or} the service contract broke (a
+    lost, duplicated or orphaned effect, or a request left unresolved).
+    Noticed and recovered are the federation's evidence
+    ({!Sep_fed.Fed_campaign.noticed}, {!Sep_fed.Fed_campaign.recovered});
+    regimes left parked do not demote a recovery, since the contract is
+    the service's end-state verdict. Plans and replays are deterministic
+    in [seed], and cases are independent, so the report is
+    byte-identical at any [jobs]. *)
 
 module Fed = Sep_fed.Fed
 module Fault_plan = Sep_robust.Fault_plan
@@ -44,13 +45,6 @@ type report = {
   sv_cases : case list;
 }
 
-val directed : Svc.deployment -> steps:int -> Fault_plan.t list
-(** The coverage floor, service-shaped: a clean control case; one crash
-    per replica shard; the {e same} replica crashed three times (past the
-    default reboot budget — the supervisor must give up cleanly); every
-    replica crashed at once (degraded modes must answer); one partition
-    and one tamper strike per wire, on a sample of wires. *)
-
 val run :
   ?jobs:int ->
   ?monitor:bool ->
@@ -61,7 +55,8 @@ val run :
   steps:int ->
   Svc.deployment ->
   report
-(** {!directed} plans plus [soak] (default 6) {!Fault_plan.soak} storms,
+(** Directed plans (a clean control case, per-replica and repeated
+    crashes, all replicas down, partitions and tampering) plus [soak] (default 6) {!Fault_plan.soak} storms,
     each replayed over [steps] service steps plus the drain, in parallel
     over up to [jobs] domains. *)
 
@@ -77,7 +72,6 @@ val contracts_ok : report -> bool
 val totals : report -> int * int * int * int
 (** (masked, detected-safe, recovered-safe, violating). *)
 
-val case_to_json : report -> case -> Sep_util.Json.t
 val summary_json : report -> Sep_util.Json.t
 
 val report_to_jsonl : report -> string

@@ -182,6 +182,41 @@ let test_kernel_panic_is_failsafe () =
     (fun c -> check status (Colour.name c ^ " parked") Abstract_regime.Parked (Sue.regime_status t c))
     (Config.colours pipeline_cfg)
 
+(* -- The outcome lattice ------------------------------------------------------ *)
+
+let outcome_name o = Fmt.str "%a" Campaign.pp_outcome o
+let all_outcomes = Campaign.[ Masked; Detected_safe; Recovered_safe; Violating ]
+
+(* Every combination of the four inputs against the precedence written out
+   by hand: violating wins; recovery counts only with nothing parked at the
+   end; then noticed; then masked. *)
+let test_decide_table () =
+  let b = [ false; true ] in
+  List.iter
+    (fun violating ->
+      List.iter
+        (fun recovered ->
+          List.iter
+            (fun parked_at_end ->
+              List.iter
+                (fun noticed ->
+                  let expected =
+                    match (violating, recovered, parked_at_end, noticed) with
+                    | true, _, _, _ -> Campaign.Violating
+                    | false, true, false, _ -> Campaign.Recovered_safe
+                    | false, _, _, true -> Campaign.Detected_safe
+                    | false, _, _, false -> Campaign.Masked
+                  in
+                  let got = Campaign.decide ~violating ~recovered ~parked_at_end ~noticed in
+                  if got <> expected then
+                    Alcotest.failf "violating=%b recovered=%b parked=%b noticed=%b: got %s, want %s"
+                      violating recovered parked_at_end noticed (outcome_name got)
+                      (outcome_name expected))
+                b)
+            b)
+        b)
+    b
+
 (* -- The campaign ---------------------------------------------------------- *)
 
 let smoke = lazy (Campaign.run ~seed:42 ~steps:60 ~count:12 ())
@@ -299,54 +334,82 @@ let member name fields =
   | Some v -> v
   | None -> Alcotest.failf "missing field %s" name
 
-let test_case_jsonl_roundtrip () =
-  let report = Lazy.force recovery_smoke in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Campaign.report_to_jsonl report))
-  in
-  let outcomes = [ "masked"; "detected-safe"; "recovered-safe"; "violating" ] in
-  let seen = Hashtbl.create 4 in
+(* One campaign report's JSONL: case lines of [case_kind], each carrying
+   [case_fields] and a known outcome, then one [summary_kind] line whose
+   case count is the sum of its four classes. Returns the outcomes seen. *)
+let check_report_jsonl ~case_kind ~case_fields ~summary_kind jsonl =
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl) in
+  let seen = Hashtbl.create 4 and summaries = ref 0 in
   List.iter
     (fun line ->
       match Json.parse line with
       | Error e -> Alcotest.failf "unparseable line %s: %s" line e
       | Ok (Json.Obj fields) -> (
         match member "kind" fields with
-        | Json.String "fault-case" ->
-          List.iter
-            (fun f -> ignore (member f fields))
-            [ "scenario"; "seed"; "steps"; "plan"; "target"; "outcome"; "victim_perturbed";
-              "detections"; "recoveries"; "watchdog_delta" ];
+        | Json.String k when k = case_kind ->
+          List.iter (fun f -> ignore (member f fields)) ("outcome" :: case_fields);
           let outcome =
             match member "outcome" fields with
             | Json.String s -> s
             | _ -> Alcotest.fail "outcome is not a string"
           in
-          if not (List.mem outcome outcomes) then Alcotest.failf "unknown outcome %s" outcome;
+          if not (List.mem outcome (List.map outcome_name all_outcomes)) then
+            Alcotest.failf "unknown outcome %s" outcome;
           Hashtbl.replace seen outcome ();
-          (match (outcome, member "recoveries" fields) with
-          | "recovered-safe", Json.List [] ->
+          (* Each case kind keeps its own [recoveries] shape: the kernel
+             campaign lists the recovery actions, the federation counts
+             them, the services have no such field. *)
+          (match (case_kind, outcome, List.assoc_opt "recoveries" fields) with
+          | "fault-case", "recovered-safe", Some (Json.List []) ->
             Alcotest.fail "recovered-safe case with empty recoveries"
-          | _, Json.List _ -> ()
-          | _ -> Alcotest.fail "recoveries is not a list")
-        | Json.String "campaign-summary" ->
+          | "fault-case", _, Some (Json.List _)
+          | "fed-case", _, Some (Json.Int _)
+          | "svc-case", _, None ->
+            ()
+          | _ -> Alcotest.failf "%s: recoveries has the wrong type in %s" case_kind line)
+        | Json.String k when k = summary_kind ->
+          incr summaries;
           let int_field f =
             match member f fields with
             | Json.Int n -> n
             | _ -> Alcotest.failf "summary field %s is not an int" f
           in
-          check Alcotest.int "summary cases = sum of classes"
+          check Alcotest.int (summary_kind ^ ": cases = sum of classes")
             (int_field "masked" + int_field "detected_safe" + int_field "recovered_safe"
            + int_field "violating")
             (int_field "cases")
         | _ -> Alcotest.failf "unknown kind in %s" line)
       | Ok _ -> Alcotest.failf "non-object line: %s" line)
     lines;
+  check Alcotest.int (summary_kind ^ " lines") 1 !summaries;
+  if Hashtbl.length seen = 0 then Alcotest.failf "no %s lines" case_kind;
+  Hashtbl.fold (fun o () acc -> o :: acc) seen []
+
+let test_case_jsonl_roundtrip () =
+  let seen =
+    check_report_jsonl ~case_kind:"fault-case" ~summary_kind:"campaign-summary"
+      ~case_fields:
+        [ "scenario"; "seed"; "steps"; "plan"; "target"; "victim_perturbed"; "detections";
+          "recoveries"; "watchdog_delta" ]
+      (Campaign.report_to_jsonl (Lazy.force recovery_smoke))
+  in
   List.iter
     (fun o ->
-      if o <> "violating" && not (Hashtbl.mem seen o) then
-        Alcotest.failf "no %s case in the smoke campaign" o)
-    outcomes
+      if o <> Campaign.Violating && not (List.mem (outcome_name o) seen) then
+        Alcotest.failf "no %s case in the smoke campaign" (outcome_name o))
+    all_outcomes;
+  ignore
+    (check_report_jsonl ~case_kind:"fed-case" ~summary_kind:"fed-campaign-summary"
+       ~case_fields:[ "scenario"; "plan"; "targets"; "victim_perturbed"; "first_violation" ]
+       (Sep_fed.Fed_campaign.report_to_jsonl
+          (Sep_fed.Fed_campaign.run ~monitor:false ~seed:123 ~steps:200 ~count:2
+             Sep_fed.Fed_scenarios.pair)));
+  ignore
+    (check_report_jsonl ~case_kind:"svc-case" ~summary_kind:"svc-campaign-summary"
+       ~case_fields:[ "service"; "plan"; "contract"; "retries"; "first_violation" ]
+       (Sep_svc.Svc_campaign.report_to_jsonl
+          (Sep_svc.Svc_campaign.run ~monitor:false ~soak:0 ~seed:42 ~steps:600
+             Sep_apps.Fed_services.printer)))
 
 let test_dist_json_roundtrip () =
   let d = Campaign.run_distributed ~seed:42 ~steps:40 ~count:20 in
@@ -384,6 +447,7 @@ let () =
           Alcotest.test_case "watchdog validation" `Quick test_watchdog_validation;
           Alcotest.test_case "kernel panic is fail-safe" `Quick test_kernel_panic_is_failsafe;
         ] );
+      ("outcome lattice", [ Alcotest.test_case "decide table" `Quick test_decide_table ]);
       ( "campaign",
         [
           Alcotest.test_case "containment holds" `Quick test_campaign_holds;

@@ -219,8 +219,8 @@ let test_campaign_jobs_identical () =
 
 (* -- Fed batched frames ------------------------------------------------------ *)
 
-(* The NIC batches a ring drain into one frame; a legacy single-word
-   frame must still decode, and a tampered batch must still be rejected. *)
+(* The NIC batches a ring drain into one frame; clean batches must all
+   pass the checksum and carry words across the wire. *)
 let test_batch_frames () =
   let ob =
     let t = Fed.build Sep_fed.Fed_scenarios.pair in
