@@ -7,8 +7,8 @@
      dune exec bench/main.exe                 all experiments + timings
      dune exec bench/main.exe -- e3 e6        selected experiments
      dune exec bench/main.exe -- timings      only the timing benches
-     dune exec bench/main.exe -- snapshot     write BENCH_PR9.json (see EXPERIMENTS.md)
-     dune exec bench/main.exe -- snapshot --check   validate the writer, write nothing
+     dune exec bench/main.exe -- snapshot --out FILE   write a validated snapshot (see EXPERIMENTS.md)
+     dune exec bench/main.exe -- snapshot --check      validate the writer, write nothing
      dune exec bench/main.exe -- compare OLD.json NEW.json   regression gate on throughput *)
 
 module Table = Sep_util.Table
@@ -29,6 +29,8 @@ module Sclass = Sep_lattice.Sclass
 module Fuzz = Sep_check.Fuzz
 module Score = Sep_check.Score
 module Monitor = Sep_core.Monitor
+module Campaign = Sep_robust.Campaign
+module Json = Sep_util.Json
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -47,6 +49,8 @@ let timed_best ?(reps = 3) f =
   done;
   !best
 
+let per_sec n secs = if secs > 0.0 then float_of_int n /. secs else 0.0
+
 let claim text = Fmt.pr "paper: %s@." text
 
 let conditions_str report =
@@ -54,7 +58,33 @@ let conditions_str report =
   | [] -> "-"
   | cs -> String.concat "," (List.map string_of_int cs)
 
+(* The stock scenarios plus one scaled instance: the subjects of E1, E18
+   and the snapshot's experiments, kernel_runs and monitor sections. *)
+let snapshot_scenarios () =
+  Scenarios.all @ [ Scenarios.scaled ~regimes:2 ~counter_bits:3 ]
+
+(* The kernel input schedule of the stepping benches: every tenth step
+   offers the next non-empty input word of the instance's alphabet. *)
+let schedule (inst : Scenarios.instance) =
+  let alphabet = Array.of_list inst.Scenarios.alphabet in
+  fun n ->
+    if Array.length alphabet > 1 && n mod 10 = 0 then
+      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
+    else []
+
 (* -- E1: the six conditions hold for the correct kernel --------------------- *)
+
+(* The exhaustive check of every snapshot scenario, best-of-3 wall clock:
+   E1 and the experiments section. *)
+let check_scenarios () =
+  List.map
+    (fun (inst : Scenarios.instance) ->
+      let report, secs =
+        timed_best (fun () ->
+            Separability.check (Sue.to_system ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg))
+      in
+      (inst.Scenarios.label, report, secs))
+    (snapshot_scenarios ())
 
 let e1 () =
   claim
@@ -62,14 +92,8 @@ let e1 () =
      Appendix hold in every reachable state.";
   let t = Table.create ~title:"E1: exhaustive Proof of Separability, correct kernels"
       ~columns:[ "instance"; "states"; "checks"; "verdict"; "seconds" ] in
-  let instances =
-    List.map
-      (fun (i : Scenarios.instance) -> (i.Scenarios.label, i.Scenarios.cfg, i.Scenarios.alphabet))
-      (Scenarios.all @ [ Scenarios.scaled ~regimes:2 ~counter_bits:3 ])
-  in
   List.iter
-    (fun (label, cfg, alphabet) ->
-      let report, secs = timed (fun () -> Separability.check (Sue.to_system ~inputs:alphabet cfg)) in
+    (fun (label, report, secs) ->
       Table.add_row t
         [
           label;
@@ -78,10 +102,18 @@ let e1 () =
           (if Separability.verified report then "VERIFIED" else "FAILED " ^ conditions_str report);
           Fmt.str "%.2f" secs;
         ])
-    instances;
+    (check_scenarios ());
   Table.print t
 
 (* -- E2: the separation kernel is small and policy-free ---------------------- *)
+
+(* Regimes that trap at every instruction, so every kernel step is a SWAP. *)
+let spin_config colours =
+  let spin = [ Sep_hw.Isa.Label "s"; Sep_hw.Isa.Instr (Sep_hw.Isa.Trap 0); Sep_hw.Isa.Branch "s" ] in
+  Config.make
+    ~regimes:
+      (List.map (fun colour -> { Config.colour; part_size = 8; program = spin; devices = [] }) colours)
+    ~channels:[] ()
 
 let e2 () =
   claim
@@ -125,15 +157,7 @@ let e2 () =
       ~columns:[ "regimes"; "kernel words"; "steps/second" ] in
   List.iter
     (fun n ->
-      let spin = [ Sep_hw.Isa.Label "s"; Sep_hw.Isa.Instr (Sep_hw.Isa.Trap 0); Sep_hw.Isa.Branch "s" ] in
-      let cfg =
-        Config.make
-          ~regimes:
-            (List.init n (fun i ->
-                 { Config.colour = Colour.of_index i; part_size = 8; program = spin; devices = [] }))
-          ~channels:[] ()
-      in
-      let kernel = Sue.build cfg in
+      let kernel = Sue.build (spin_config (List.init n Colour.of_index)) in
       let iters = 200_000 in
       let (), secs = timed (fun () -> for _ = 1 to iters do ignore (Sue.step kernel []) done) in
       Table.add_row t2
@@ -594,111 +618,122 @@ let e13 () =
 
 (* -- E14: fault containment --------------------------------------------------------------- *)
 
+(* The seed-42 fault campaign (200 steps, 40 plans per scenario) and the
+   distributed wire-tamper baseline: E14 and the fault_campaign section. *)
+let fault_campaign () =
+  let report, secs = timed (fun () -> Campaign.run ~seed:42 ~steps:200 ~count:40 ()) in
+  (report, secs, Campaign.run_distributed ~seed:42 ~steps:40 ~count:20)
+
+(* The same campaign under a recovery supervisor, with 20 three-fault
+   plans added per scenario: E16a and the recovery section. *)
+let recovery_campaign () =
+  timed (fun () -> Campaign.run_recovery ~seed:42 ~steps:200 ~count:40 ())
+
+(* One row per scenario: the counts [columns] picks from the (masked,
+   detected-safe, recovered-safe, violating) tally, then the watchdog. *)
+let campaign_rows t (report : Campaign.report) columns =
+  List.iter
+    (fun (sr : Campaign.scenario_report) ->
+      let tally =
+        Campaign.tally (List.map (fun (c : Campaign.case) -> c.Campaign.outcome) sr.Campaign.cases)
+      in
+      Table.add_row t
+        ((sr.Campaign.label :: List.map string_of_int (columns tally))
+        @ [ (match sr.Campaign.watchdog with Some w -> string_of_int w | None -> "-") ]))
+    report.Campaign.rp_scenarios
+
 let e14 () =
   claim
     "in the distributed ideal a hardware fault inside one box cannot corrupt another box — the \
      kernelized system inherits that fault containment: no injected single fault perturbs another \
      colour's observable trace, and corrupted kernel state is detected and parked, not trusted.";
-  let module C = Sep_robust.Campaign in
-  let seed = 42 and steps = 200 and count = 40 in
-  let report, secs = timed (fun () -> C.run ~seed ~steps ~count ()) in
+  let report, secs, dist = fault_campaign () in
   let t = Table.create ~title:"E14: fault-injection campaign (seed 42, 200 steps, 40 faults/scenario)"
       ~columns:[ "scenario"; "masked"; "detected-safe"; "violating"; "watchdog" ] in
-  List.iter
-    (fun (sr : C.scenario_report) ->
-      let m, d, v =
-        List.fold_left
-          (fun (m, d, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, v)
-            | C.Detected_safe -> (m, d + 1, v)
-            | C.Recovered_safe -> (m, d, v)  (* E14 runs without a supervisor *)
-            | C.Violating -> (m, d, v + 1))
-          (0, 0, 0) sr.C.cases
-      in
-      Table.add_row t
-        [
-          sr.C.label;
-          string_of_int m;
-          string_of_int d;
-          string_of_int v;
-          (match sr.C.watchdog with Some w -> string_of_int w | None -> "-");
-        ])
-    report.C.rp_scenarios;
-  let dist = C.run_distributed ~seed ~steps:40 ~count:20 in
+  (* E14 runs without a supervisor: no recovered-safe column *)
+  campaign_rows t report (fun (m, d, _, v) -> [ m; d; v ]);
   Table.add_row t
-    [
-      "distributed (wire tamper)";
-      "-";
-      "-";
-      (if dist.C.dr_contained then "0" else "!");
-      "-";
-    ];
+    [ "distributed (wire tamper)"; "-"; "-"; (if dist.Campaign.dr_contained then "0" else "!"); "-" ];
   Table.print t;
-  let masked, detected, _, violating = C.totals report in
+  let masked, detected, _, violating = Campaign.totals report in
   Fmt.pr "%d cases in %.2fs: %d masked, %d detected-safe, %d violating; containment holds: %b@.@."
     (masked + detected + violating) secs masked detected violating
-    (C.holds report && dist.C.dr_contained)
+    (Campaign.holds report && dist.Campaign.dr_contained)
 
 (* -- E15: property-based verification and coverage-guided fuzzing -------------------------- *)
 
-let kill_runs seed budget (e : Mutants.expectation) =
-  [
-    (Score.Exhaustive, fun () -> Score.exhaustive_kill e);
-    (Score.Randomized, fun () -> Score.randomized_kill ~seed e);
-    (Score.Coverage, fun () -> Score.coverage_kill ~seed ~budget e);
-  ]
+let fuzz_seed = 42 and fuzz_budget = 480
+
+(* The coverage-guided fuzz of every stock scenario, then each seeded bug
+   under the exhaustive, randomized and coverage-guided strategies, each
+   run with its wall clock: E15 and the fuzz section. *)
+let fuzz_measure () =
+  let seed = fuzz_seed and budget = fuzz_budget in
+  let scenarios =
+    List.map
+      (fun (inst : Scenarios.instance) ->
+        (inst.Scenarios.label, timed (fun () -> Fuzz.fuzz_scenario ~seed ~budget inst)))
+      Scenarios.all
+  in
+  let kills =
+    List.concat_map
+      (fun e ->
+        List.map timed
+          [
+            (fun () -> Score.exhaustive_kill e);
+            (fun () -> Score.randomized_kill ~seed e);
+            (fun () -> Score.coverage_kill ~seed ~budget e);
+          ])
+      Mutants.catalogue
+  in
+  (scenarios, kills)
 
 let e15 () =
   claim
     "the six conditions are a checkable specification, not just a proof outline: a coverage-guided \
      fuzzer finds no violation in the correct kernel, and every seeded bug is killed — by its \
      predicted condition — under exhaustive, randomized and coverage-guided checking alike.";
-  let seed = 42 and budget = 480 in
+  let scenarios, kills = fuzz_measure () in
   let t = Table.create
-      ~title:(Fmt.str "E15a: coverage-guided fuzz of the correct kernel (seed %d, budget %d)" seed budget)
+      ~title:(Fmt.str "E15a: coverage-guided fuzz of the correct kernel (seed %d, budget %d)"
+                fuzz_seed fuzz_budget)
       ~columns:[ "scenario"; "execs"; "corpus"; "coverage keys"; "failures"; "seconds" ] in
   List.iter
-    (fun (inst : Scenarios.instance) ->
-      let r, secs = timed (fun () -> Fuzz.fuzz_scenario ~seed ~budget inst) in
+    (fun (label, (r, secs)) ->
       Table.add_row t
         [
-          inst.Scenarios.label;
+          label;
           string_of_int r.Fuzz.sr_campaign.Fuzz.cp_execs;
           string_of_int (List.length r.Fuzz.sr_campaign.Fuzz.cp_entries);
           string_of_int (List.length r.Fuzz.sr_campaign.Fuzz.cp_keys);
           string_of_int (List.length r.Fuzz.sr_failures);
           Fmt.str "%.2f" secs;
         ])
-    Scenarios.all;
+    scenarios;
   Table.print t;
   let t2 = Table.create
-      ~title:(Fmt.str "E15b: mutant kill rate per checking strategy (seed %d, budget %d)" seed budget)
+      ~title:(Fmt.str "E15b: mutant kill rate per checking strategy (seed %d, budget %d)"
+                fuzz_seed fuzz_budget)
       ~columns:[ "bug"; "strategy"; "killed"; "cond"; "states"; "execs"; "instrs"; "seconds" ] in
-  let all_killed = ref true in
   List.iter
-    (fun (e : Mutants.expectation) ->
-      List.iter
-        (fun (_, run) ->
-          let k, secs = timed run in
-          if not k.Score.kl_detected then all_killed := false;
-          Table.add_row t2
-            [
-              Score.bug_name k.Score.kl_bug;
-              Score.strategy_name k.Score.kl_strategy;
-              (if k.Score.kl_detected then "yes" else "NO");
-              string_of_int k.Score.kl_condition;
-              string_of_int k.Score.kl_states;
-              string_of_int k.Score.kl_execs;
-              (match k.Score.kl_workload with
-              | Some w -> string_of_int (Score.workload_instrs w)
-              | None -> "-");
-              Fmt.str "%.3f" secs;
-            ])
-        (kill_runs seed budget e))
-    Mutants.catalogue;
+    (fun (k, secs) ->
+      Table.add_row t2
+        [
+          Score.bug_name k.Score.kl_bug;
+          Score.strategy_name k.Score.kl_strategy;
+          (if k.Score.kl_detected then "yes" else "NO");
+          string_of_int k.Score.kl_condition;
+          string_of_int k.Score.kl_states;
+          string_of_int k.Score.kl_execs;
+          (match k.Score.kl_workload with
+          | Some w -> string_of_int (Score.workload_instrs w)
+          | None -> "-");
+          Fmt.str "%.3f" secs;
+        ])
+    kills;
   Table.print t2;
-  Fmt.pr "all mutants killed under every strategy: %b@.@." !all_killed
+  Fmt.pr "all mutants killed under every strategy: %b@.@."
+    (List.for_all (fun (k, _) -> k.Score.kl_detected) kills)
 
 (* -- E16: fail-operational recovery --------------------------------------------------------- *)
 
@@ -709,46 +744,23 @@ let e16 () =
      without ever perturbing another colour's observable trace across the restart boundary — and \
      the kernel still pins against the distributed ideal when the ideal's wires drop, duplicate \
      and reorder frames under the reliable-channel protocol.";
-  let module C = Sep_robust.Campaign in
-  let seed = 42 and steps = 200 and count = 40 in
-  let report, secs = timed (fun () -> C.run_recovery ~seed ~steps ~count ()) in
+  let report, secs = recovery_campaign () in
   let t = Table.create
       ~title:"E16a: recovery campaign (seed 42, 200 steps, 40 single- + 20 multi-fault plans/scenario)"
       ~columns:[ "scenario"; "masked"; "detected-safe"; "recovered-safe"; "violating"; "watchdog" ] in
-  List.iter
-    (fun (sr : C.scenario_report) ->
-      let m, d, r, v =
-        List.fold_left
-          (fun (m, d, r, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, r, v)
-            | C.Detected_safe -> (m, d + 1, r, v)
-            | C.Recovered_safe -> (m, d, r + 1, v)
-            | C.Violating -> (m, d, r, v + 1))
-          (0, 0, 0, 0) sr.C.cases
-      in
-      Table.add_row t
-        [
-          sr.C.label;
-          string_of_int m;
-          string_of_int d;
-          string_of_int r;
-          string_of_int v;
-          (match sr.C.watchdog with Some w -> string_of_int w | None -> "-");
-        ])
-    report.C.rp_scenarios;
+  campaign_rows t report (fun (m, d, r, v) -> [ m; d; r; v ]);
   Table.print t;
-  let masked, detected, recovered, violating = C.totals report in
+  let masked, detected, recovered, violating = Campaign.totals report in
   Fmt.pr "%d cases in %.2fs: %d masked, %d detected-safe, %d recovered-safe, %d violating; holds: %b@.@."
     (masked + detected + recovered + violating) secs masked detected recovered violating
-    (C.holds report);
+    (Campaign.holds report);
   let t2 = Table.create ~title:"E16b: kernel vs. reliable net over a lossy link (seed 42, 150 steps)"
       ~columns:[ "drop %"; "cases"; "delivered"; "retransmits"; "acks"; "backoff hits"; "mismatches"; "seconds" ] in
   List.iter
     (fun drop ->
       let link = { Sep_distributed.Net.default_link_model with Sep_distributed.Net.lm_drop = drop } in
       let rel, rsecs =
-        timed (fun () -> Sep_check.Diff.kernel_vs_reliable_net ~link ~seed ~cases:4 ~steps:150 ())
+        timed (fun () -> Sep_check.Diff.kernel_vs_reliable_net ~link ~seed:42 ~cases:4 ~steps:150 ())
       in
       let sum f = List.fold_left (fun n rc -> n + f rc) 0 rel in
       Table.add_row t2
@@ -792,13 +804,12 @@ let e17 () =
         (if String.equal (render r1) (render rn) then "yes" else "NO");
       ]
   in
-  let module C = Sep_robust.Campaign in
   row "fault campaign (200 steps, 40 plans/scenario)"
-    (fun jobs -> C.run ~jobs ~seed:42 ~steps:200 ~count:40 ())
-    C.report_to_jsonl;
+    (fun jobs -> Campaign.run ~jobs ~seed:42 ~steps:200 ~count:40 ())
+    Campaign.report_to_jsonl;
   row "recovery campaign (200 steps, 40 plans/scenario)"
-    (fun jobs -> C.run_recovery ~jobs ~seed:42 ~steps:200 ~count:40 ())
-    C.report_to_jsonl;
+    (fun jobs -> Campaign.run_recovery ~jobs ~seed:42 ~steps:200 ~count:40 ())
+    Campaign.report_to_jsonl;
   row "fuzz pipeline (budget 60)"
     (fun jobs -> Fuzz.fuzz_scenario ~jobs ~seed:42 ~budget:60 Scenarios.pipeline)
     Fuzz.scenario_result_to_jsonl;
@@ -823,16 +834,11 @@ type monitor_overhead = {
 }
 
 (* The 5000-step microcode stepping bench, bare vs with a [Monitor.watch]
-   attached; best of [reps] runs for each side, because the loop itself
-   takes only a few milliseconds and the gate below quotes a ratio. *)
-let measure_monitor_overhead ?(steps = 5_000) ?(period = 1_000) ?(reps = 21)
-    (inst : Scenarios.instance) =
-  let alphabet = Array.of_list inst.Scenarios.alphabet in
-  let inputs n =
-    if Array.length alphabet > 1 && n mod 10 = 0 then
-      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-    else []
-  in
+   attached (period 1000); best of 21 runs for each side, because the loop
+   itself takes only a few milliseconds and the gate below quotes a ratio. *)
+let measure_monitor_overhead (inst : Scenarios.instance) =
+  let steps = 5_000 and period = 1_000 and reps = 21 in
+  let inputs = schedule inst in
   let run watched =
     let t = Sue.build ~impl:Sue.Microcode inst.Scenarios.cfg in
     let w = if watched then Some (Monitor.watch ~period ~inputs:inst.Scenarios.alphabet t) else None in
@@ -889,7 +895,7 @@ let e18 () =
           string_of_int r.mo_deep;
           (if r.mo_clean then "yes" else "NO");
         ])
-    (Scenarios.all @ [ Scenarios.scaled ~regimes:2 ~counter_bits:3 ]);
+    (snapshot_scenarios ());
   Table.print t
 
 (* -- E19: the kernel federation ------------------------------------------------ *)
@@ -927,7 +933,7 @@ let measure_federation ?plan ?(steps = 2_000) (spec : Sep_fed.Fed.spec) =
     fm_steps = steps;
     fm_seconds = secs;
     fm_delivered = ob.F.fob_delivered;
-    fm_words_per_sec = (if secs > 0.0 then float_of_int ob.F.fob_delivered /. secs else 0.0);
+    fm_words_per_sec = per_sec ob.F.fob_delivered secs;
     fm_p50 = Sep_obs.Telemetry.p50 h;
     fm_p95 = Sep_obs.Telemetry.p95 h;
     fm_p99 = Sep_obs.Telemetry.p99 h;
@@ -1035,8 +1041,7 @@ let measure_service ?plan ?(steps = 2_500) (dep : Sep_svc.Svc.deployment) =
     sm_seconds = secs;
     sm_requests = c.Svc.ct_requests;
     sm_committed = c.Svc.ct_committed;
-    sm_requests_per_sec =
-      (if secs > 0.0 then float_of_int c.Svc.ct_resolved /. secs else 0.0);
+    sm_requests_per_sec = per_sec c.Svc.ct_resolved secs;
     sm_retries = kv "svc.retries";
     sm_dedup_hits = kv "svc.dedup_hits";
     sm_shed = kv "svc.shed";
@@ -1145,7 +1150,7 @@ let e20 () =
   let killed = List.length (List.filter (fun k -> k.Stack.k_killed) kills) in
   Fmt.pr "lockstep: %d scenario runs, %d divergences, %d commuting-square checks (%.0f checks/s)@."
     (List.length scen) (List.length diverged) checks
-    (if secs > 0.0 then float_of_int checks /. secs else 0.0);
+    (per_sec checks secs);
   Fmt.pr "kills: %d/%d seeded bugs caught in %.2fs@." killed (List.length kills) kill_secs
 
 (* -- bechamel timings -------------------------------------------------------------------- *)
@@ -1160,17 +1165,7 @@ let timings () =
     Test.make ~name:"sue kernel step" (Staged.stage (fun () -> ignore (Sue.step t [ (0, 1) ])))
   in
   let sue_swap =
-    let spin = [ Sep_hw.Isa.Label "s"; Sep_hw.Isa.Instr (Sep_hw.Isa.Trap 0); Sep_hw.Isa.Branch "s" ] in
-    let cfg =
-      Config.make
-        ~regimes:
-          [
-            { Config.colour = Colour.red; part_size = 8; program = spin; devices = [] };
-            { Config.colour = Colour.black; part_size = 8; program = spin; devices = [] };
-          ]
-        ~channels:[] ()
-    in
-    let t = Sue.build cfg in
+    let t = Sue.build (spin_config [ Colour.red; Colour.black ]) in
     Test.make ~name:"sue SWAP (trap + context switch)" (Staged.stage (fun () -> ignore (Sue.step t [])))
   in
   let phi =
@@ -1252,518 +1247,455 @@ let timings () =
 
 (* -- snapshot: the machine-readable bench record ------------------------------ *)
 
-(* Writes BENCH_PR<n>.json: per-experiment wall clock, states explored,
-   checks/sec, per-regime kernel counters and the span profile, so the
-   perf trajectory of the repository is comparable across PRs. The schema
-   is documented in EXPERIMENTS.md; `snapshot --check` rebuilds the
-   snapshot in memory, parses it back and validates the shape without
-   touching the file. *)
+(* [snapshot --out FILE] writes BENCH_PR<n>.json: per-experiment wall
+   clock, states explored, checks/sec, per-regime kernel counters and the
+   span profile, so the perf trajectory of the repository is comparable
+   across PRs. [sections] declares the snapshot's shape once: the writer
+   emits the sections in that order, [validate_snapshot] checks each
+   declared part and its required keys, and [compare] gates the declared
+   rates. The required keys are written out, not read off the writer, so
+   a writer that drops a field fails validation. EXPERIMENTS.md documents
+   every field. *)
 
-module Json = Sep_util.Json
+let schema = "rushby-bench/9"
 
-let snapshot_scenarios () =
-  Scenarios.all @ [ Scenarios.scaled ~regimes:2 ~counter_bits:3 ]
+let extend json fields = match json with Json.Obj fs -> Json.Obj (fs @ fields) | other -> other
+
+(* Where a section's entries live. *)
+type entries =
+  | Whole  (* the section is one object, its own single entry *)
+  | Items  (* the section is a list of entries *)
+  | Named of string  (* the section object holds its entries in this list *)
+
+type section = {
+  key : string;  (* the top-level key *)
+  parts : (entries * string list) list;
+      (* each part's entries and the keys every entry must carry (a dotted
+         key is a path); an entry list may not be empty *)
+  gate : (int * string list * string) option;
+      (* compare: (row order, label fields, rate key) over the first part's
+         entries, one metric "<key>.<labels joined by ':'>.<rate key>" per
+         entry *)
+  build : unit -> Json.t;
+}
+
+let sections =
+  [
+    {
+      key = "experiments";
+      parts = [ (Items, [ "label"; "states"; "checks"; "verified"; "seconds"; "checks_per_sec" ]) ];
+      gate = Some (0, [ "label" ], "checks_per_sec");
+      build =
+        (fun () ->
+          Json.List
+            (List.map
+               (fun (label, report, secs) ->
+                 Json.Obj
+                   [
+                     ("label", Json.String label);
+                     ("kind", Json.String "exhaustive-pos");
+                     ("states", Json.Int report.Separability.states);
+                     ("checks", Json.Int report.Separability.checks);
+                     ("verified", Json.Bool (Separability.verified report));
+                     ("seconds", Json.Float secs);
+                     ("checks_per_sec", Json.Float (per_sec report.Separability.checks secs));
+                   ])
+               (check_scenarios ())));
+    };
+    {
+      key = "kernel_runs";
+      parts =
+        [ (Items, [ "label"; "impl"; "steps"; "seconds"; "steps_per_sec"; "counters.counters" ]) ];
+      gate = Some (1, [ "label"; "impl" ], "steps_per_sec");
+      build =
+        (fun () ->
+          let run (inst : Scenarios.instance) impl =
+            let steps = 5_000 and inputs = schedule inst in
+            (* fresh kernel per rep so the counters below describe one run *)
+            let t, secs =
+              timed_best ~reps:7 (fun () ->
+                  let t = Sue.build ~impl inst.Scenarios.cfg in
+                  for n = 0 to steps - 1 do
+                    ignore (Sue.step t (inputs n))
+                  done;
+                  t)
+            in
+            Json.Obj
+              [
+                ("label", Json.String inst.Scenarios.label);
+                ("impl", Json.String (Fmt.str "%a" Sue.pp_impl impl));
+                ("steps", Json.Int steps);
+                ("seconds", Json.Float secs);
+                ("steps_per_sec", Json.Float (per_sec steps secs));
+                ("counters", Sep_obs.Telemetry.to_json (Sue.telemetry t));
+              ]
+          in
+          Json.List
+            (List.map (fun inst -> run inst Sue.Microcode) (snapshot_scenarios ())
+            @ [ run Scenarios.pipeline Sue.Assembly ]));
+    };
+    {
+      key = "fault_campaign";
+      parts = [ (Whole, [ "cases"; "masked"; "detected_safe"; "violating"; "holds"; "distributed" ]) ];
+      gate = None;
+      build =
+        (fun () ->
+          let report, secs, dist = fault_campaign () in
+          extend (Campaign.summary_json report)
+            [ ("seconds", Json.Float secs); ("distributed", Campaign.dist_to_json dist) ]);
+    };
+    {
+      key = "fuzz";
+      parts =
+        [
+          (Named "scenarios", [ "label"; "execs"; "corpus"; "coverage_keys"; "failures"; "seconds" ]);
+          ( Named "kills",
+            [ "bug"; "scenario"; "strategy"; "detected"; "condition"; "execs"; "seconds" ] );
+        ];
+      gate = None;
+      build =
+        (fun () ->
+          let scenarios, kills = fuzz_measure () in
+          Json.Obj
+            [
+              ("seed", Json.Int fuzz_seed);
+              ("budget", Json.Int fuzz_budget);
+              ( "scenarios",
+                Json.List
+                  (List.map
+                     (fun (label, (r, secs)) ->
+                       Json.Obj
+                         [
+                           ("label", Json.String label);
+                           ("execs", Json.Int r.Fuzz.sr_campaign.Fuzz.cp_execs);
+                           ("corpus", Json.Int (List.length r.Fuzz.sr_campaign.Fuzz.cp_entries));
+                           ("coverage_keys", Json.Int (List.length r.Fuzz.sr_campaign.Fuzz.cp_keys));
+                           ("failures", Json.Int (List.length r.Fuzz.sr_failures));
+                           ("seconds", Json.Float secs);
+                         ])
+                     scenarios) );
+              ( "kills",
+                Json.List
+                  (List.map
+                     (fun (k, secs) -> extend (Score.kill_to_json k) [ ("seconds", Json.Float secs) ])
+                     kills) );
+            ]);
+    };
+    {
+      key = "recovery";
+      parts =
+        [
+          ( Whole,
+            [ "cases"; "masked"; "detected_safe"; "recovered_safe"; "violating"; "holds";
+              "reliable_net" ] );
+          ( Named "reliable_net",
+            [ "case"; "delivered"; "mismatches"; "lossy_drops"; "retransmits"; "acks";
+              "backoff_ceiling" ] );
+        ];
+      gate = None;
+      build =
+        (fun () ->
+          let report, secs = recovery_campaign () in
+          let rel, rel_secs =
+            timed (fun () -> Sep_check.Diff.kernel_vs_reliable_net ~seed:42 ~cases:4 ~steps:150 ())
+          in
+          let rel_entry i (rc : Sep_check.Diff.reliable_case) =
+            let s = rc.Sep_check.Diff.rc_stats in
+            Json.Obj
+              [
+                ("case", Json.Int i);
+                ("delivered", Json.Int rc.Sep_check.Diff.rc_delivered);
+                ("mismatches", Json.Int (List.length rc.Sep_check.Diff.rc_mismatches));
+                ("lossy_drops", Json.Int s.Sep_distributed.Net.ls_lossy_drops);
+                ("retransmits", Json.Int s.Sep_distributed.Net.ls_retransmits);
+                ("acks", Json.Int s.Sep_distributed.Net.ls_acks);
+                ("backoff_ceiling", Json.Int s.Sep_distributed.Net.ls_backoff_ceiling);
+              ]
+          in
+          extend (Campaign.summary_json report)
+            [
+              ("seconds", Json.Float secs);
+              ("reliable_net", Json.List (List.mapi rel_entry rel));
+              ("reliable_net_seconds", Json.Float rel_secs);
+            ]);
+    };
+    {
+      key = "speedup";
+      parts = [ (Whole, [ "jobs"; "seconds_j1"; "seconds_jn"; "speedup"; "deterministic" ]) ];
+      gate = None;
+      build =
+        (fun () ->
+          let jobs = Sep_par.Par.default_jobs () in
+          let r1, s1 = timed (fun () -> Campaign.run ~jobs:1 ~seed:42 ~steps:120 ~count:24 ()) in
+          let rn, sn = timed (fun () -> Campaign.run ~jobs ~seed:42 ~steps:120 ~count:24 ()) in
+          Json.Obj
+            [
+              ("jobs", Json.Int jobs);
+              ("seconds_j1", Json.Float s1);
+              ("seconds_jn", Json.Float sn);
+              ("speedup", Json.Float (if sn > 0.0 then s1 /. sn else 0.0));
+              ( "deterministic",
+                Json.Bool
+                  (String.equal (Campaign.report_to_jsonl r1) (Campaign.report_to_jsonl rn)) );
+            ]);
+    };
+    {
+      key = "monitor";
+      parts =
+        [
+          ( Named "runs",
+            [ "label"; "steps"; "period"; "seconds_bare"; "seconds_watched"; "steps_per_sec_bare";
+              "steps_per_sec_watched"; "overhead_frac"; "deep_checks"; "clean" ] );
+        ];
+      gate = Some (2, [ "label" ], "steps_per_sec_watched");
+      build =
+        (fun () ->
+          let run inst =
+            let r = measure_monitor_overhead inst in
+            Json.Obj
+              [
+                ("label", Json.String r.mo_label);
+                ("impl", Json.String "microcode");
+                ("steps", Json.Int r.mo_steps);
+                ("period", Json.Int r.mo_period);
+                ("seconds_bare", Json.Float r.mo_bare);
+                ("seconds_watched", Json.Float r.mo_watched);
+                ("steps_per_sec_bare", Json.Float (per_sec r.mo_steps r.mo_bare));
+                ("steps_per_sec_watched", Json.Float (per_sec r.mo_steps r.mo_watched));
+                ("overhead_frac", Json.Float (overhead_frac r));
+                ("deep_checks", Json.Int r.mo_deep);
+                ("clean", Json.Bool r.mo_clean);
+              ]
+          in
+          Json.Obj [ ("runs", Json.List (List.map run (snapshot_scenarios ()))) ]);
+    };
+    {
+      key = "latency";
+      parts = [ (Whole, [ "steps"; "words"; "p50"; "p95"; "p99"; "retransmit_queue" ]) ];
+      gate = None;
+      build =
+        (fun () ->
+          (* end-to-end word latency over one reliable lossy link: the snfe
+             topology under the default link model, latency measured in net
+             steps from send-accept to in-order delivery *)
+          let net =
+            Sep_distributed.Net.build ~link:Sep_distributed.Net.default_link_model
+              (Snfe.topology Snfe.default_config)
+          in
+          let steps = 400 in
+          let (), secs =
+            timed (fun () ->
+                for n = 0 to steps - 1 do
+                  Sep_distributed.Net.step net
+                    ~externals:(if n mod 2 = 0 then [ (Snfe.red, Fmt.str "m%d" n) ] else [])
+                done)
+          in
+          let tel = Sep_distributed.Net.telemetry net in
+          let h = Sep_obs.Telemetry.histogram tel "net.latency.steps" in
+          let s = Sep_distributed.Net.link_stats net in
+          Json.Obj
+            [
+              ("topology", Json.String "snfe");
+              ("steps", Json.Int steps);
+              ("seconds", Json.Float secs);
+              ("words", Json.Int (Sep_obs.Telemetry.count h));
+              ("p50", Json.Float (Sep_obs.Telemetry.p50 h));
+              ("p95", Json.Float (Sep_obs.Telemetry.p95 h));
+              ("p99", Json.Float (Sep_obs.Telemetry.p99 h));
+              ("max", Json.Float (Sep_obs.Telemetry.hist_max h));
+              ( "retransmit_queue",
+                Json.Float
+                  (Sep_obs.Telemetry.gauge_value
+                     (Sep_obs.Telemetry.gauge tel "net.retransmit_queue")) );
+              ("retransmits", Json.Int s.Sep_distributed.Net.ls_retransmits);
+              ("acks", Json.Int s.Sep_distributed.Net.ls_acks);
+            ]);
+    };
+    {
+      key = "federation";
+      parts =
+        [
+          ( Named "runs",
+            [ "label"; "workload"; "steps"; "seconds"; "delivered"; "words_per_sec"; "latency_p50";
+              "latency_p95"; "latency_p99"; "node_events"; "recoveries"; "monitor_clean" ] );
+        ];
+      gate = Some (4, [ "label"; "workload" ], "words_per_sec");
+      build =
+        (fun () ->
+          let run m =
+            Json.Obj
+              [
+                ("label", Json.String m.fm_label);
+                ("workload", Json.String (if m.fm_faulty then "node-faults" else "clean"));
+                ("steps", Json.Int m.fm_steps);
+                ("seconds", Json.Float m.fm_seconds);
+                ("delivered", Json.Int m.fm_delivered);
+                ("words_per_sec", Json.Float m.fm_words_per_sec);
+                ("latency_p50", Json.Float m.fm_p50);
+                ("latency_p95", Json.Float m.fm_p95);
+                ("latency_p99", Json.Float m.fm_p99);
+                ("node_events", Json.Int m.fm_events);
+                ("recoveries", Json.Int m.fm_recoveries);
+                ("monitor_clean", Json.Bool (not m.fm_violating));
+              ]
+          in
+          Json.Obj [ ("runs", Json.List (List.map run (federation_measures ()))) ]);
+    };
+    {
+      key = "services";
+      parts =
+        [
+          ( Named "runs",
+            [ "label"; "workload"; "steps"; "seconds"; "requests"; "committed"; "requests_per_sec";
+              "retries"; "dedup_hits"; "shed"; "rtt_p50"; "rtt_p95"; "contract_ok";
+              "monitor_clean" ] );
+        ];
+      gate = Some (5, [ "label"; "workload" ], "requests_per_sec");
+      build =
+        (fun () ->
+          let run m =
+            Json.Obj
+              [
+                ("label", Json.String m.sm_label);
+                ("workload", Json.String (if m.sm_faulty then "node-faults" else "clean"));
+                ("steps", Json.Int m.sm_steps);
+                ("seconds", Json.Float m.sm_seconds);
+                ("requests", Json.Int m.sm_requests);
+                ("committed", Json.Int m.sm_committed);
+                ("requests_per_sec", Json.Float m.sm_requests_per_sec);
+                ("retries", Json.Int m.sm_retries);
+                ("dedup_hits", Json.Int m.sm_dedup_hits);
+                ("shed", Json.Int m.sm_shed);
+                ("rtt_p50", Json.Float m.sm_rtt_p50);
+                ("rtt_p95", Json.Float m.sm_rtt_p95);
+                ("contract_ok", Json.Bool m.sm_contract_ok);
+                ("monitor_clean", Json.Bool (not m.sm_violating));
+              ]
+          in
+          Json.Obj [ ("runs", Json.List (List.map run (service_measures ()))) ]);
+    };
+    {
+      key = "refinement";
+      parts =
+        [
+          ( Whole,
+            [ "scenario_runs"; "divergences"; "checks"; "checks_per_sec"; "bugs"; "killed"; "kills" ]
+          );
+          ( Named "kills",
+            [ "bug"; "level"; "killed"; "seed"; "scenario"; "step"; "original_size"; "shrunk_size" ]
+          );
+        ];
+      (* row 3, ahead of federation: the pinned compare output in
+         bench/compare_*.expected lists it there *)
+      gate = Some (3, [], "checks_per_sec");
+      build =
+        (fun () ->
+          let module Stack = Sep_refine.Stack in
+          let scen, checks, secs, diverged, kills, kill_secs = refinement_measure () in
+          Json.Obj
+            [
+              ("seed", Json.Int 42);
+              ("scenario_runs", Json.Int (List.length scen));
+              ("divergences", Json.Int (List.length diverged));
+              ("checks", Json.Int checks);
+              ("seconds", Json.Float secs);
+              ("checks_per_sec", Json.Float (per_sec checks secs));
+              ("bugs", Json.Int (List.length kills));
+              ("killed", Json.Int (List.length (List.filter (fun k -> k.Stack.k_killed) kills)));
+              ("kill_seconds", Json.Float kill_secs);
+              ("kills", Json.List (List.map Stack.kill_to_json kills));
+            ]);
+    };
+    (* last, so the span profile covers every measurement above *)
+    { key = "spans"; parts = [ (Whole, []) ]; gate = None; build = Sep_obs.Span.to_json };
+  ]
 
 let snapshot_json () =
   Sep_obs.Span.set_enabled true;
   Sep_obs.Span.reset ();
-  let check_experiments =
-    List.map
-      (fun (inst : Scenarios.instance) ->
-        let report, secs =
-          timed_best (fun () ->
-              Separability.check (Sue.to_system ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg))
-        in
-        Json.Obj
-          [
-            ("label", Json.String inst.Scenarios.label);
-            ("kind", Json.String "exhaustive-pos");
-            ("states", Json.Int report.Separability.states);
-            ("checks", Json.Int report.Separability.checks);
-            ("verified", Json.Bool (Separability.verified report));
-            ("seconds", Json.Float secs);
-            ( "checks_per_sec",
-              Json.Float
-                (if secs > 0.0 then float_of_int report.Separability.checks /. secs else 0.0) );
-          ])
-      (snapshot_scenarios ())
-  in
-  let kernel_runs =
-    let run (inst : Scenarios.instance) impl =
-      let alphabet = Array.of_list inst.Scenarios.alphabet in
-      let steps = 5_000 in
-      let inputs n =
-        if Array.length alphabet > 1 && n mod 10 = 0 then
-          alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-        else []
-      in
-      (* fresh kernel per rep so the counters below describe one run *)
-      let t, secs =
-        timed_best ~reps:7 (fun () ->
-            let t = Sue.build ~impl inst.Scenarios.cfg in
-            for n = 0 to steps - 1 do
-              ignore (Sue.step t (inputs n))
-            done;
-            t)
-      in
-      Json.Obj
-        [
-          ("label", Json.String inst.Scenarios.label);
-          ("impl", Json.String (Fmt.str "%a" Sue.pp_impl impl));
-          ("steps", Json.Int steps);
-          ("seconds", Json.Float secs);
-          ("steps_per_sec", Json.Float (if secs > 0.0 then float_of_int steps /. secs else 0.0));
-          ("counters", Sep_obs.Telemetry.to_json (Sue.telemetry t));
-        ]
-    in
-    List.map (fun inst -> run inst Sue.Microcode) (snapshot_scenarios ())
-    @ [ run Scenarios.pipeline Sue.Assembly ]
-  in
-  let fault_campaign =
-    let module C = Sep_robust.Campaign in
-    let report, secs = timed (fun () -> C.run ~seed:42 ~steps:200 ~count:40 ()) in
-    let dist = C.run_distributed ~seed:42 ~steps:40 ~count:20 in
-    match C.summary_json report with
-    | Json.Obj fields ->
-      Json.Obj (fields @ [ ("seconds", Json.Float secs); ("distributed", C.dist_to_json dist) ])
-    | other -> other
-  in
-  let fuzz =
-    let seed = 42 and budget = 480 in
-    let scenario_entries =
-      List.map
-        (fun (inst : Scenarios.instance) ->
-          let r, secs = timed (fun () -> Fuzz.fuzz_scenario ~seed ~budget inst) in
-          Json.Obj
-            [
-              ("label", Json.String inst.Scenarios.label);
-              ("execs", Json.Int r.Fuzz.sr_campaign.Fuzz.cp_execs);
-              ("corpus", Json.Int (List.length r.Fuzz.sr_campaign.Fuzz.cp_entries));
-              ("coverage_keys", Json.Int (List.length r.Fuzz.sr_campaign.Fuzz.cp_keys));
-              ("failures", Json.Int (List.length r.Fuzz.sr_failures));
-              ("seconds", Json.Float secs);
-            ])
-        Scenarios.all
-    in
-    let kill_entries =
-      List.concat_map
-        (fun (e : Mutants.expectation) ->
-          List.map
-            (fun (_, run) ->
-              let k, secs = timed run in
-              match Score.kill_to_json k with
-              | Json.Obj fields -> Json.Obj (fields @ [ ("seconds", Json.Float secs) ])
-              | other -> other)
-            (kill_runs seed budget e))
-        Mutants.catalogue
-    in
-    Json.Obj
-      [
-        ("seed", Json.Int seed);
-        ("budget", Json.Int budget);
-        ("scenarios", Json.List scenario_entries);
-        ("kills", Json.List kill_entries);
-      ]
-  in
-  let recovery =
-    let module C = Sep_robust.Campaign in
-    let report, secs = timed (fun () -> C.run_recovery ~seed:42 ~steps:200 ~count:40 ()) in
-    let rel, rel_secs =
-      timed (fun () -> Sep_check.Diff.kernel_vs_reliable_net ~seed:42 ~cases:4 ~steps:150 ())
-    in
-    let rel_entries =
-      List.mapi
-        (fun i (rc : Sep_check.Diff.reliable_case) ->
-          let s = rc.Sep_check.Diff.rc_stats in
-          Json.Obj
-            [
-              ("case", Json.Int i);
-              ("delivered", Json.Int rc.Sep_check.Diff.rc_delivered);
-              ("mismatches", Json.Int (List.length rc.Sep_check.Diff.rc_mismatches));
-              ("lossy_drops", Json.Int s.Sep_distributed.Net.ls_lossy_drops);
-              ("retransmits", Json.Int s.Sep_distributed.Net.ls_retransmits);
-              ("acks", Json.Int s.Sep_distributed.Net.ls_acks);
-              ("backoff_ceiling", Json.Int s.Sep_distributed.Net.ls_backoff_ceiling);
-            ])
-        rel
-    in
-    match C.summary_json report with
-    | Json.Obj fields ->
-      Json.Obj
-        (fields
-        @ [
-            ("seconds", Json.Float secs);
-            ("reliable_net", Json.List rel_entries);
-            ("reliable_net_seconds", Json.Float rel_secs);
-          ])
-    | other -> other
-  in
-  let speedup =
-    let module C = Sep_robust.Campaign in
-    let jobs = Sep_par.Par.default_jobs () in
-    let r1, s1 = timed (fun () -> C.run ~jobs:1 ~seed:42 ~steps:120 ~count:24 ()) in
-    let rn, sn = timed (fun () -> C.run ~jobs ~seed:42 ~steps:120 ~count:24 ()) in
-    Json.Obj
-      [
-        ("jobs", Json.Int jobs);
-        ("seconds_j1", Json.Float s1);
-        ("seconds_jn", Json.Float sn);
-        ("speedup", Json.Float (if sn > 0.0 then s1 /. sn else 0.0));
-        ("deterministic", Json.Bool (String.equal (C.report_to_jsonl r1) (C.report_to_jsonl rn)));
-      ]
-  in
-  let monitor =
-    let runs =
-      List.map
-        (fun inst ->
-          let r = measure_monitor_overhead inst in
-          let rate secs = if secs > 0.0 then float_of_int r.mo_steps /. secs else 0.0 in
-          Json.Obj
-            [
-              ("label", Json.String r.mo_label);
-              ("impl", Json.String "microcode");
-              ("steps", Json.Int r.mo_steps);
-              ("period", Json.Int r.mo_period);
-              ("seconds_bare", Json.Float r.mo_bare);
-              ("seconds_watched", Json.Float r.mo_watched);
-              ("steps_per_sec_bare", Json.Float (rate r.mo_bare));
-              ("steps_per_sec_watched", Json.Float (rate r.mo_watched));
-              ("overhead_frac", Json.Float (overhead_frac r));
-              ("deep_checks", Json.Int r.mo_deep);
-              ("clean", Json.Bool r.mo_clean);
-            ])
-        (snapshot_scenarios ())
-    in
-    Json.Obj [ ("runs", Json.List runs) ]
-  in
-  let latency =
-    (* end-to-end word latency over one reliable lossy link: the snfe
-       topology under the default link model, latency measured in net
-       steps from send-accept to in-order delivery *)
-    let net = Sep_distributed.Net.build ~link:Sep_distributed.Net.default_link_model
-        (Snfe.topology Snfe.default_config)
-    in
-    let steps = 400 in
-    let (), secs =
-      timed (fun () ->
-          for n = 0 to steps - 1 do
-            Sep_distributed.Net.step net
-              ~externals:(if n mod 2 = 0 then [ (Snfe.red, Fmt.str "m%d" n) ] else [])
-          done)
-    in
-    let tel = Sep_distributed.Net.telemetry net in
-    let h = Sep_obs.Telemetry.histogram tel "net.latency.steps" in
-    let s = Sep_distributed.Net.link_stats net in
-    Json.Obj
-      [
-        ("topology", Json.String "snfe");
-        ("steps", Json.Int steps);
-        ("seconds", Json.Float secs);
-        ("words", Json.Int (Sep_obs.Telemetry.count h));
-        ("p50", Json.Float (Sep_obs.Telemetry.p50 h));
-        ("p95", Json.Float (Sep_obs.Telemetry.p95 h));
-        ("p99", Json.Float (Sep_obs.Telemetry.p99 h));
-        ("max", Json.Float (Sep_obs.Telemetry.hist_max h));
-        ( "retransmit_queue",
-          Json.Float
-            (Sep_obs.Telemetry.gauge_value
-               (Sep_obs.Telemetry.gauge tel "net.retransmit_queue")) );
-        ("retransmits", Json.Int s.Sep_distributed.Net.ls_retransmits);
-        ("acks", Json.Int s.Sep_distributed.Net.ls_acks);
-      ]
-  in
-  let federation =
-    let runs =
-      List.map
-        (fun m ->
-          Json.Obj
-            [
-              ("label", Json.String m.fm_label);
-              ("workload", Json.String (if m.fm_faulty then "node-faults" else "clean"));
-              ("steps", Json.Int m.fm_steps);
-              ("seconds", Json.Float m.fm_seconds);
-              ("delivered", Json.Int m.fm_delivered);
-              ("words_per_sec", Json.Float m.fm_words_per_sec);
-              ("latency_p50", Json.Float m.fm_p50);
-              ("latency_p95", Json.Float m.fm_p95);
-              ("latency_p99", Json.Float m.fm_p99);
-              ("node_events", Json.Int m.fm_events);
-              ("recoveries", Json.Int m.fm_recoveries);
-              ("monitor_clean", Json.Bool (not m.fm_violating));
-            ])
-        (federation_measures ())
-    in
-    Json.Obj [ ("runs", Json.List runs) ]
-  in
-  let services =
-    let runs =
-      List.map
-        (fun m ->
-          Json.Obj
-            [
-              ("label", Json.String m.sm_label);
-              ("workload", Json.String (if m.sm_faulty then "node-faults" else "clean"));
-              ("steps", Json.Int m.sm_steps);
-              ("seconds", Json.Float m.sm_seconds);
-              ("requests", Json.Int m.sm_requests);
-              ("committed", Json.Int m.sm_committed);
-              ("requests_per_sec", Json.Float m.sm_requests_per_sec);
-              ("retries", Json.Int m.sm_retries);
-              ("dedup_hits", Json.Int m.sm_dedup_hits);
-              ("shed", Json.Int m.sm_shed);
-              ("rtt_p50", Json.Float m.sm_rtt_p50);
-              ("rtt_p95", Json.Float m.sm_rtt_p95);
-              ("contract_ok", Json.Bool m.sm_contract_ok);
-              ("monitor_clean", Json.Bool (not m.sm_violating));
-            ])
-        (service_measures ())
-    in
-    Json.Obj [ ("runs", Json.List runs) ]
-  in
-  let refinement =
-    let module Stack = Sep_refine.Stack in
-    let scen, checks, secs, diverged, kills, kill_secs = refinement_measure () in
-    let killed = List.length (List.filter (fun k -> k.Stack.k_killed) kills) in
-    Json.Obj
-      [
-        ("seed", Json.Int 42);
-        ("scenario_runs", Json.Int (List.length scen));
-        ("divergences", Json.Int (List.length diverged));
-        ("checks", Json.Int checks);
-        ("seconds", Json.Float secs);
-        ( "checks_per_sec",
-          Json.Float (if secs > 0.0 then float_of_int checks /. secs else 0.0) );
-        ("bugs", Json.Int (List.length kills));
-        ("killed", Json.Int killed);
-        ("kill_seconds", Json.Float kill_secs);
-        ("kills", Json.List (List.map Stack.kill_to_json kills));
-      ]
-  in
+  let body = List.map (fun s -> (s.key, s.build ())) sections in
   Json.Obj
-    [
-      ("schema", Json.String "rushby-bench/9");
-      ("generated_at_unix", Json.Float (Unix.time ()));
-      ("ocaml_version", Json.String Sys.ocaml_version);
-      ("experiments", Json.List check_experiments);
-      ("kernel_runs", Json.List kernel_runs);
-      ("fault_campaign", fault_campaign);
-      ("fuzz", fuzz);
-      ("recovery", recovery);
-      ("speedup", speedup);
-      ("monitor", monitor);
-      ("latency", latency);
-      ("federation", federation);
-      ("services", services);
-      ("refinement", refinement);
-      ("spans", Sep_obs.Span.to_json ());
-    ]
+    (("schema", Json.String schema)
+    :: ("generated_at_unix", Json.Float (Unix.time ()))
+    :: ("ocaml_version", Json.String Sys.ocaml_version)
+    :: body)
+
+(* The entries of one declared part of a snapshot, [None] when the
+   section is missing or does not have the part's shape. *)
+let part_entries json s (at, _) =
+  Option.bind (Json.member s.key json) (fun v ->
+      match (at, v) with
+      | Whole, Json.Obj _ -> Some [ v ]
+      | Items, Json.List l -> Some l
+      | Named name, _ -> (
+        match Json.member name v with Some (Json.List l) -> Some l | _ -> None)
+      | (Whole | Items), _ -> None)
 
 let validate_snapshot json =
-  let fail msg = Error msg in
-  let require_obj name v = match v with Some (Json.Obj _ as o) -> Ok o | _ -> fail ("missing object " ^ name) in
-  let require_list name v = match v with Some (Json.List l) -> Ok l | _ -> fail ("missing list " ^ name) in
+  let rec has v = function
+    | [] -> true
+    | k :: path -> ( match Json.member k v with Some v -> has v path | None -> false)
+  in
+  let problems s ((at, keys) as part) =
+    let name = match at with Named l -> s.key ^ "." ^ l | Whole | Items -> s.key in
+    match part_entries json s part with
+    | None -> [ "missing " ^ name ]
+    | Some [] -> [ "empty " ^ name ]
+    | Some es ->
+      List.filter_map
+        (fun k ->
+          if List.for_all (fun e -> has e (String.split_on_char '.' k)) es then None
+          else Some (Fmt.str "%s entry without %s" name k))
+        keys
+  in
   match Json.member "schema" json with
-  | Some (Json.String (("rushby-bench/8" | "rushby-bench/9") as schema)) -> (
-    match require_list "experiments" (Json.member "experiments" json) with
-    | Error e -> fail e
-    | Ok experiments -> (
-      match require_list "kernel_runs" (Json.member "kernel_runs" json) with
-      | Error e -> fail e
-      | Ok runs -> (
-        match
-          Result.bind (require_obj "spans" (Json.member "spans" json)) (fun _ ->
-              require_obj "fault_campaign" (Json.member "fault_campaign" json))
-        with
-        | Error e -> fail e
-        | Ok campaign when
-            List.exists
-              (fun k -> Json.member k campaign = None)
-              [ "cases"; "masked"; "detected_safe"; "violating"; "holds"; "distributed" ] ->
-          fail "malformed fault_campaign entry"
-        | Ok _ -> (
-          match require_obj "recovery" (Json.member "recovery" json) with
-          | Error e -> fail e
-          | Ok recovery when
-              List.exists
-                (fun k -> Json.member k recovery = None)
-                [ "cases"; "masked"; "detected_safe"; "recovered_safe"; "violating"; "holds";
-                  "reliable_net" ] ->
-            fail "malformed recovery entry"
-          | Ok _ -> (
-          match require_obj "speedup" (Json.member "speedup" json) with
-          | Error e -> fail e
-          | Ok speedup when
-              List.exists
-                (fun k -> Json.member k speedup = None)
-                [ "jobs"; "seconds_j1"; "seconds_jn"; "speedup"; "deterministic" ] ->
-            fail "malformed speedup entry"
-          | Ok _ -> (
-          match
-            Result.bind (require_obj "monitor" (Json.member "monitor" json)) (fun m ->
-                require_list "monitor.runs" (Json.member "runs" m))
-          with
-          | Error e -> fail e
-          | Ok monitor_runs -> (
-          match
-            Result.bind (require_obj "federation" (Json.member "federation" json)) (fun f ->
-                require_list "federation.runs" (Json.member "runs" f))
-          with
-          | Error e -> fail e
-          | Ok federation_runs -> (
-          (* the services section arrived with rushby-bench/9; older
-             snapshots stay valid without it *)
-          match
-            if schema = "rushby-bench/8" then Ok []
-            else
-              Result.bind (require_obj "services" (Json.member "services" json)) (fun s ->
-                  require_list "services.runs" (Json.member "runs" s))
-          with
-          | Error e -> fail e
-          | Ok services_runs -> (
-          match require_obj "latency" (Json.member "latency" json) with
-          | Error e -> fail e
-          | Ok latency when
-              List.exists
-                (fun k -> Json.member k latency = None)
-                [ "steps"; "words"; "p50"; "p95"; "p99"; "retransmit_queue" ] ->
-            fail "malformed latency entry"
-          | Ok _ -> (
-          match require_obj "fuzz" (Json.member "fuzz" json) with
-          | Error e -> fail e
-          | Ok fuzz -> (
-            match
-              Result.bind (require_list "fuzz.scenarios" (Json.member "scenarios" fuzz)) (fun ss ->
-                  Result.map (fun ks -> (ss, ks))
-                    (require_list "fuzz.kills" (Json.member "kills" fuzz)))
-            with
-            | Error e -> fail e
-            | Ok (fuzz_scenarios, fuzz_kills) -> (
-              match require_obj "refinement" (Json.member "refinement" json) with
-              | Error e -> fail e
-              | Ok refinement when
-                  List.exists
-                    (fun k -> Json.member k refinement = None)
-                    [ "scenario_runs"; "divergences"; "checks"; "checks_per_sec"; "bugs";
-                      "killed"; "kills" ] ->
-                fail "malformed refinement entry"
-              | Ok refinement ->
-              let refinement_kills =
-                match Json.member "kills" refinement with Some (Json.List l) -> l | _ -> []
-              in
-              let refinement_kill_ok k =
-                List.for_all
-                  (fun key -> Json.member key k <> None)
-                  [ "bug"; "level"; "killed"; "seed"; "scenario"; "step"; "original_size";
-                    "shrunk_size" ]
-              in
-              let exp_ok e =
-                List.for_all
-                  (fun k -> Json.member k e <> None)
-                  [ "label"; "states"; "checks"; "verified"; "seconds"; "checks_per_sec" ]
-              in
-              let run_ok r =
-                List.for_all (fun k -> Json.member k r <> None)
-                  [ "label"; "impl"; "steps"; "seconds"; "steps_per_sec"; "counters" ]
-                && (match Json.member "counters" r with
-                   | Some c -> Json.member "counters" c <> None
-                   | None -> false)
-              in
-              let monitor_ok m =
-                List.for_all
-                  (fun k -> Json.member k m <> None)
-                  [ "label"; "steps"; "period"; "seconds_bare"; "seconds_watched";
-                    "steps_per_sec_bare"; "steps_per_sec_watched"; "overhead_frac"; "deep_checks";
-                    "clean" ]
-              in
-              let fuzz_scenario_ok s =
-                List.for_all
-                  (fun k -> Json.member k s <> None)
-                  [ "label"; "execs"; "corpus"; "coverage_keys"; "failures"; "seconds" ]
-              in
-              let fuzz_kill_ok k =
-                List.for_all
-                  (fun key -> Json.member key k <> None)
-                  [ "bug"; "scenario"; "strategy"; "detected"; "condition"; "execs"; "seconds" ]
-              in
-              let federation_ok f =
-                List.for_all
-                  (fun k -> Json.member k f <> None)
-                  [ "label"; "workload"; "steps"; "seconds"; "delivered"; "words_per_sec";
-                    "latency_p50"; "latency_p95"; "latency_p99"; "node_events"; "recoveries";
-                    "monitor_clean" ]
-              in
-              let service_ok s =
-                List.for_all
-                  (fun k -> Json.member k s <> None)
-                  [ "label"; "workload"; "steps"; "seconds"; "requests"; "committed";
-                    "requests_per_sec"; "retries"; "dedup_hits"; "shed"; "rtt_p50"; "rtt_p95";
-                    "contract_ok"; "monitor_clean" ]
-              in
-              if not (List.for_all exp_ok experiments) then fail "malformed experiment entry"
-              else if not (List.for_all run_ok runs) then fail "malformed kernel_run entry"
-              else if not (List.for_all monitor_ok monitor_runs) then
-                fail "malformed monitor entry"
-              else if not (List.for_all federation_ok federation_runs) then
-                fail "malformed federation entry"
-              else if not (List.for_all service_ok services_runs) then
-                fail "malformed services entry"
-              else if not (List.for_all fuzz_scenario_ok fuzz_scenarios) then
-                fail "malformed fuzz scenario entry"
-              else if not (List.for_all fuzz_kill_ok fuzz_kills) then fail "malformed fuzz kill entry"
-              else if not (List.for_all refinement_kill_ok refinement_kills) then
-                fail "malformed refinement kill entry"
-              else if
-                experiments = [] || runs = [] || monitor_runs = [] || federation_runs = []
-                || fuzz_scenarios = [] || fuzz_kills = [] || refinement_kills = []
-                || (schema = "rushby-bench/9" && services_runs = [])
-              then fail "empty snapshot"
-              else Ok (List.length experiments, List.length runs)))))))))))))
-  | _ -> fail "missing or unexpected schema tag"
+  | Some (Json.String tag) when tag = schema -> (
+    match List.concat_map (fun s -> List.concat_map (problems s) s.parts) sections with
+    | [] -> Ok ()
+    | p :: _ -> Error p)
+  | _ -> Error "missing or unexpected schema tag"
 
 let snapshot_main args =
-  let check_only = ref false in
-  let out = ref "BENCH_PR9.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--check" :: rest ->
-      check_only := true;
-      parse rest
-    | "--out" :: f :: rest ->
-      out := f;
-      parse rest
+  let rec parse (check, out) = function
+    | [] -> if check || out <> None then Ok (check, out) else Error "--out FILE is required"
+    | "--check" :: rest -> parse (true, out) rest
+    | "--out" :: f :: rest -> parse (check, Some f) rest
     | "--out" :: [] -> Error "--out requires a file name"
-    | a :: _ -> Error (Fmt.str "unknown argument %S (expected --check or --out FILE)" a)
+    | a :: _ -> Error (Fmt.str "unknown argument %S" a)
   in
-  match parse args with
+  match parse (false, None) args with
   | Error e ->
-    Fmt.epr "snapshot: %s@." e;
+    Fmt.epr "snapshot: %s@.usage: snapshot (--out FILE | --check)@." e;
     2
-  | Ok () ->
-  let check_only = !check_only and out = !out in
-  let json = snapshot_json () in
-  (* round-trip through the writer and reader, then validate the shape *)
-  match Json.parse (Json.to_string json) with
-  | Error e ->
-    Fmt.epr "snapshot: writer produced unparseable JSON: %s@." e;
-    1
-  | Ok parsed -> (
-    match validate_snapshot parsed with
+  | Ok (check, out) -> (
+    let json = snapshot_json () in
+    (* round-trip through the writer and reader, then validate the shape *)
+    match Json.parse (Json.to_string json) with
     | Error e ->
-      Fmt.epr "snapshot: invalid shape: %s@." e;
+      Fmt.epr "snapshot: writer produced unparseable JSON: %s@." e;
       1
-    | Ok (nexp, nruns) ->
-      if check_only then begin
-        Fmt.pr "snapshot --check: ok (%d experiments, %d kernel runs; nothing written)@." nexp nruns;
-        0
-      end
-      else begin
-        let oc = open_out out in
-        output_string oc (Json.to_string json);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.pr "wrote %s (%d experiments, %d kernel runs)@." out nexp nruns;
-        0
-      end)
+    | Ok parsed -> (
+      let count key = match Json.member key parsed with Some (Json.List l) -> List.length l | _ -> 0 in
+      let summary = Fmt.str "%d experiments, %d kernel runs" (count "experiments") (count "kernel_runs") in
+      match (validate_snapshot parsed, out) with
+      | Error e, _ ->
+        Fmt.epr "snapshot: invalid shape: %s@." e;
+        1
+      | Ok (), Some file when not check -> (
+        match
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc (Json.to_string json);
+              output_char oc '\n')
+        with
+        | exception Sys_error e ->
+          Fmt.epr "snapshot: %s@." e;
+          1
+        | () ->
+          Fmt.pr "wrote %s (%s)@." file summary;
+          0)
+      | Ok (), _ ->
+        Fmt.pr "snapshot --check: ok (%s; nothing written)@." summary;
+        0))
 
 (* ------------------------------------------------------------------ *)
 (* compare: the regression gate.  Two snapshots in, a table and an exit
@@ -1779,78 +1711,25 @@ let num = function
   | Json.Int i -> Some (float_of_int i)
   | _ -> None
 
-(* label -> throughput, flattened from the sections that carry a rate *)
+(* metric key -> throughput for every entry of the gated sections, in
+   the gate's row order *)
 let rates json =
-  let out = ref [] in
-  let add key v = match num v with Some f -> out := (key, f) :: !out | None -> () in
-  let str j = match j with Some (Json.String s) -> Some s | _ -> None in
-  let each section f =
-    match Json.member section json with
-    | Some (Json.List items) -> List.iter f items
-    | _ -> ()
-  in
-  each "experiments" (fun e ->
-      match (str (Json.member "label" e), Json.member "checks_per_sec" e) with
-      | Some label, Some v -> add (Fmt.str "experiments.%s.checks_per_sec" label) v
-      | _ -> ());
-  each "kernel_runs" (fun r ->
-      match
-        (str (Json.member "label" r), str (Json.member "impl" r), Json.member "steps_per_sec" r)
-      with
-      | Some label, Some impl, Some v ->
-        add (Fmt.str "kernel_runs.%s:%s.steps_per_sec" label impl) v
-      | _ -> ());
-  (match Json.member "monitor" json with
-  | Some m ->
-    (match Json.member "runs" m with
-    | Some (Json.List runs) ->
-      List.iter
-        (fun r ->
-          match (str (Json.member "label" r), Json.member "steps_per_sec_watched" r) with
-          | Some label, Some v -> add (Fmt.str "monitor.%s.steps_per_sec_watched" label) v
-          | _ -> ())
-        runs
-    | _ -> ())
-  | None -> ());
-  (match Json.member "refinement" json with
-  | Some r -> (
-    match Json.member "checks_per_sec" r with
-    | Some v -> add "refinement.checks_per_sec" v
-    | None -> ())
-  | None -> ());
-  (match Json.member "federation" json with
-  | Some f ->
-    (match Json.member "runs" f with
-    | Some (Json.List runs) ->
-      List.iter
-        (fun r ->
-          match
-            (str (Json.member "label" r), str (Json.member "workload" r),
-             Json.member "words_per_sec" r)
-          with
-          | Some label, Some workload, Some v ->
-            add (Fmt.str "federation.%s:%s.words_per_sec" label workload) v
-          | _ -> ())
-        runs
-    | _ -> ())
-  | None -> ());
-  (match Json.member "services" json with
-  | Some s ->
-    (match Json.member "runs" s with
-    | Some (Json.List runs) ->
-      List.iter
-        (fun r ->
-          match
-            (str (Json.member "label" r), str (Json.member "workload" r),
-             Json.member "requests_per_sec" r)
-          with
-          | Some label, Some workload, Some v ->
-            add (Fmt.str "services.%s:%s.requests_per_sec" label workload) v
-          | _ -> ())
-        runs
-    | _ -> ())
-  | None -> ());
-  List.rev !out
+  let gated = List.filter_map (fun s -> Option.map (fun g -> (g, s)) s.gate) sections in
+  List.stable_sort (fun ((a, _, _), _) ((b, _, _), _) -> Int.compare a b) gated
+  |> List.concat_map (fun ((_, labels, rate), s) ->
+         List.filter_map
+           (fun e ->
+             let names =
+               List.filter_map
+                 (fun l -> match Json.member l e with Some (Json.String n) -> Some n | _ -> None)
+                 labels
+             in
+             match Option.bind (Json.member rate e) num with
+             | Some v when List.compare_lengths names labels = 0 ->
+               let tag = if names = [] then [] else [ String.concat ":" names ] in
+               Some (String.concat "." ((s.key :: tag) @ [ rate ]), v)
+             | _ -> None)
+           (Option.value ~default:[] (part_entries json s (List.hd s.parts))))
 
 let load_snapshot file =
   match In_channel.with_open_text file In_channel.input_all with

@@ -210,6 +210,12 @@ let bench_compare_improvement_exits_0 () =
   Sys.remove new_snap;
   Alcotest.(check int) "an improvement passes the gate" 0 code
 
+(* Without [--out] or [--check] the snapshot must refuse to run rather
+   than write over a committed baseline. *)
+let bench_snapshot_requires_out () =
+  Alcotest.(check int) "snapshot without --out exits 2" 2 (bench "snapshot");
+  Alcotest.(check int) "unknown snapshot argument exits 2" 2 (bench "snapshot --bogus")
+
 let main () =
   Alcotest.run "refine"
     [
@@ -241,6 +247,7 @@ let main () =
           Alcotest.test_case "compare identical exits 0" `Quick bench_compare_identical_exits_0;
           Alcotest.test_case "compare regression exits 1" `Quick bench_compare_regression_exits_1;
           Alcotest.test_case "compare improvement exits 0" `Quick bench_compare_improvement_exits_0;
+          Alcotest.test_case "snapshot requires --out" `Quick bench_snapshot_requires_out;
         ] );
     ]
 
