@@ -873,8 +873,8 @@ let overhead_frac r = if r.mo_bare > 0.0 then (r.mo_watched -. r.mo_bare) /. r.m
 
 let e18 () =
   claim
-    "the six conditions can be checked online: an incremental monitor with amortized O(1) \
-     per-state cost rides along a live kernel — a cheap audit probe every step, a deep check on \
+    "the six conditions can be checked online: an incremental monitor (one bucket scan per \
+     colour and state) rides along a live kernel — a cheap audit probe every step, a deep check on \
      audit activity or every period steps — flagging a violation at the step it occurs while the \
      stepping loop keeps most of its bare throughput.";
   let t =

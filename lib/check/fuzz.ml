@@ -132,40 +132,54 @@ type exec = {
   ex_report : Separability.report;
 }
 
-let run_once ?(bugs = []) ?(impl = Sue.Microcode) ~scrambles ~settle ~seed cfg sched =
+(* The sample walk: build the kernel and snapshot it at step 0, after
+   each scheduled input and after each of [settle] empty steps. Each
+   snapshot goes to [sink step], followed by [scrambles] scrambled
+   Phi-partners per colour, in configuration order. Returns the kernel
+   and its trace events. *)
+let run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched sink =
   let rng = Prng.create seed in
   let t = Sue.build ~bugs ~impl cfg in
   let colours = Config.colours cfg in
-  let states = ref [] in
   let events = ref [] in
-  let add s =
-    states := s :: !states;
+  let sample step =
+    let s = Sue.copy t in
+    sink step s;
     List.iter
       (fun c ->
         for _ = 1 to scrambles do
-          states := Sue.scramble_others rng s c :: !states
+          sink step (Sue.scramble_others rng s c)
         done)
       colours
   in
-  add (Sue.copy t);
-  List.iter
-    (fun input ->
+  sample 0;
+  List.iteri
+    (fun n input ->
       events := Ktrace.step t input :: !events;
-      add (Sue.copy t))
+      sample (n + 1))
     sched;
-  for _ = 1 to settle do
+  let base = List.length sched in
+  for k = 1 to settle do
     events := Ktrace.step t [] :: !events;
-    add (Sue.copy t)
+    sample (base + k)
   done;
-  (t, List.rev !states, List.concat (List.rev !events))
+  (t, List.concat (List.rev !events))
 
-let states_of_schedule ?bugs ?impl ?(scrambles = 2) ?(settle = 24) ~seed cfg sched =
-  let _, states, _ = run_once ?bugs ?impl ~scrambles ~settle ~seed cfg sched in
+let collect ~bugs ~impl ~scrambles ~settle ~seed cfg sched =
+  let states = ref [] in
+  let t, events =
+    run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched (fun _ s -> states := s :: !states)
+  in
+  (t, List.rev !states, events)
+
+let states_of_schedule ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24) ~seed
+    cfg sched =
+  let _, states, _ = collect ~bugs ~impl ~scrambles ~settle ~seed cfg sched in
   states
 
 let execute ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24) ~seed ~alphabet cfg
     sched =
-  let t, states, events = run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched in
+  let t, states, events = collect ~bugs ~impl ~scrambles ~settle ~seed cfg sched in
   let keys =
     List.map event_key events
     @ kstat_keys (Sue.kstats t)
@@ -183,39 +197,16 @@ type online = {
   on_first_violation : (int * Separability.failure) option;
 }
 
-(* The same run as {!execute}, but the states stream through the
-   incremental checker as they are produced — with the kernel step that
-   produced each one — instead of being collected for a post-hoc
-   [check_states]. The generation order (each snapshot followed by its
-   scrambled Phi-partners, colours in configuration order) matches
-   [run_once] exactly, so the report agrees with the offline one. *)
+(* The same walk as {!execute}, but the states stream through the
+   monitor as they are produced — with the kernel step that produced
+   each one — instead of being collected for a post-hoc [check_states]. *)
 let check_schedule_online ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24)
     ~seed ~alphabet cfg sched =
   let module Monitor = Sep_core.Monitor in
-  let rng = Prng.create seed in
-  let t = Sue.build ~bugs ~impl cfg in
-  let colours = Config.colours cfg in
   let mon = Monitor.create (Sue.to_system ~bugs ~impl ~inputs:alphabet cfg) in
-  let feed ~step s =
-    ignore (Monitor.feed ~step mon s);
-    List.iter
-      (fun c ->
-        for _ = 1 to scrambles do
-          ignore (Monitor.feed ~step mon (Sue.scramble_others rng s c))
-        done)
-      colours
-  in
-  feed ~step:0 (Sue.copy t);
-  List.iteri
-    (fun n input ->
-      ignore (Ktrace.step t input);
-      feed ~step:(n + 1) (Sue.copy t))
-    sched;
-  let base = List.length sched in
-  for k = 1 to settle do
-    ignore (Ktrace.step t []);
-    feed ~step:(base + k) (Sue.copy t)
-  done;
+  ignore
+    (run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched (fun step s ->
+         ignore (Monitor.feed ~step mon s)));
   { on_report = Monitor.report mon; on_first_violation = Monitor.first_violation mon }
 
 (* -- Mutation ----------------------------------------------------------------- *)

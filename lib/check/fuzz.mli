@@ -62,8 +62,8 @@ type online = {
 val check_schedule_online :
   ?bugs:Sue.bug list -> ?impl:Sue.impl -> ?scrambles:int -> ?settle:int -> seed:int ->
   alphabet:Sue.input list -> Isa.stmt list Config.t -> schedule -> online
-(** {!check_schedule} through the {!Sep_core.Monitor}: the same state
-    sample streams through the incremental checker with per-step
+(** {!check_schedule} through the {!Sep_core.Monitor}: the same sample
+    walk, with each state streamed through the monitor with per-step
     attribution, so a violating schedule is pinned to the first kernel
     step (0 = initial state, [n] = after step [n]) whose sample exposes
     it. The report matches the offline one on states, checks and

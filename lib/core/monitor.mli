@@ -1,21 +1,29 @@
 (** Online separability monitoring: the six conditions, incrementally.
 
-    The offline checker ({!Separability}) quantifies over a completed
-    state sample; the monitor evaluates the same six Proof of
-    Separability conditions {e as states arrive}. Feeding a state costs
-    an amount independent of how many states came before it — the
-    bucket tables keyed by each colour's abstraction give amortized O(1)
-    per state — so a violation is flagged at the step that first
-    exhibits it, not after the run.
+    The offline checker ({!Separability.check_states}) quantifies over a
+    completed state sample; the monitor evaluates the same six Proof of
+    Separability conditions {e as states arrive}, so a violation is
+    flagged at the step that first exhibits it, not after the run.
 
-    {b Agreement.} [feed]ing a state performs exactly the checks the
-    offline {!Separability.check_states} performs for it: conditions 1
-    and 2 against the abstract operation, condition 4 across the input
-    alphabet, and conditions 3, 5, 6 against the representative of its
-    Phi^c-equivalence bucket. On the same state list the monitor's
-    {!report} therefore reproduces the offline report's state, check and
-    per-condition counts, and (on clean runs) its emptiness of failures
-    — the agreement the test suite pins down.
+    {b Agreement.} The monitor is a driver of the offline checker's
+    engine ({!Separability.checker}): [feed]ing a state runs
+    {!Separability.check_op} and {!Separability.check_view} for every
+    colour on it — conditions 1 and 2 against the abstract operation,
+    condition 4 across the input alphabet, and conditions 3, 5, 6
+    against the representative of its Phi^c-equivalence bucket. The
+    checks are the offline ones by construction; only the order differs
+    (per state here, conditions 1–2 over the whole sample and then 3–6
+    colour by colour offline). The state, check and per-condition counts
+    do not depend on that order, and the test suite checks exactly this:
+    feeding the reachable states in reverse and shuffled order
+    reproduces the offline report's counts and frontier.
+
+    {b Cost.} A fed state is compared against the members of one hash
+    bucket per colour, so the cost per state is amortized O(1) only if
+    the system's [hash_abstate] spreads the abstractions over many
+    buckets. With a hash that collapses (few distinct values over many
+    abstractions) a bucket is a linear scan and the cost grows with the
+    number of distinct abstractions seen.
 
     {b Streaming.} {!watch} attaches the monitor to a {e live}
     {!Sue} kernel: after every {!Sue.step} a cheap O(1) probe
@@ -45,13 +53,6 @@ val feed : ?step:int -> ('s, 'i, 'o, 'a, 'p) t -> 's -> Separability.failure lis
     (empty on a clean state). [step] attributes the failures to a
     driver-defined step index (default: the ordinal of the fed state). *)
 
-val feed_step :
-  ('s, 'i, 'o, 'a, 'p) t -> step:int -> 's list -> Separability.failure list
-(** Feed several states attributed to the same step — a stepped kernel
-    plus its scrambled Phi-partners. *)
-
-val states_seen : _ t -> int
-
 val frontier : _ t -> int
 (** Distinct abstractions tracked, summed over colours — the live
     frontier of the view-equivalence search. Also published as the
@@ -61,13 +62,13 @@ val first_violation : _ t -> (int * Separability.failure) option
 (** The earliest violation: the step index it was attributed to and the
     failure — [None] while the run is clean. *)
 
-val violations : _ t -> (int * Separability.failure) list
-(** All recorded violations with their step indices, in feed order. *)
-
 val report : _ t -> Separability.report
 (** The accumulated result in the offline report shape: on the same
-    state list it matches {!Separability.check_states} in states,
-    checks, per-condition check counts and failure conditions. *)
+    states, in any order, it matches {!Separability.check_states} in
+    states, checks and per-condition check counts. On a violating run the
+    recorded failures can differ: the offline checker stops at the
+    failure cap, the monitor keeps counting, and the two fill the cap in
+    different orders. *)
 
 (** {1 Watching a live kernel} *)
 

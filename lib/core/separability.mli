@@ -60,12 +60,6 @@ val report_to_json : report -> Sep_util.Json.t
     "cond_checks": {"1": n, ...}, "verified", "failing_conditions",
     "failures": [{"condition", "colour", "detail"}]}]. *)
 
-val merge_reports : ?instance:string -> report list -> report
-(** Sum of the parts: states, checks and per-condition counts add up,
-    failures concatenate — for a verification split across several state
-    samples (e.g. the phases around a crash and restart). [instance]
-    defaults to the first report's (["(empty)"] for none). *)
-
 (** Checking is profiled through {!Sep_obs.Span} (spans
     [separability.reachable], [separability.cond1_2],
     [separability.cond3_4_5_6], [separability.cond4]) when span profiling
@@ -91,3 +85,45 @@ val check_states_pairwise :
     Verdict-equivalent to {!check_states} (which buckets by abstraction
     and exploits transitivity of equality) but quadratic in the sample —
     kept as the ablation baseline for experiment E10. *)
+
+(** {1 The checking engine}
+
+    The one implementation of the six conditions. {!check_states} and
+    {!Monitor} drive it in different orders over the same per-state
+    checks: [check_states] runs {!check_op} over the whole sample and then
+    {!check_view} colour by colour, the monitor runs both on each state as
+    it arrives. Every state but the first of its Phi^c-class is checked
+    against its class's bucket entry, so the check counts do not depend
+    on the order; which counterexamples a failing run records can. *)
+
+type ('s, 'i, 'o, 'a, 'p) checker
+(** The mutable checking state: check counters (overall and per
+    condition), recorded failures, one [Phi^c] bucket table per colour
+    keyed by [hash_abstate], and the number of bucket representatives. *)
+
+val checker :
+  max_failures:int -> on_failure:(int -> failure -> unit) -> ('s, 'i, 'o, 'a, 'p) Sep_model.System.t ->
+  ('s, 'i, 'o, 'a, 'p) checker
+(** A fresh checker. At most [max_failures] failures are recorded; later
+    ones are counted as checks but neither rendered nor kept.
+    [on_failure n f] runs as [f] becomes the [n]th recorded failure — the
+    driver's recording behaviour (the offline drivers raise out of the run
+    at the cap; the monitor attributes the failure to its step). *)
+
+val check_op : ('s, _, _, _, _) checker -> 's -> unit
+(** Conditions 1 and 2 on one state, for its selected operation. *)
+
+val check_view : ('s, _, _, _, _) checker -> Sep_model.Colour.t -> 's -> unit
+(** Conditions 3–6 on one state for one colour: condition 4 across the
+    input alphabet, then 3, 5 and 6 against the representative of the
+    state's [Phi^c] bucket (the state becomes the representative of a new
+    bucket). *)
+
+val frontier : _ checker -> int
+(** Bucket representatives, summed over colours. *)
+
+val publish_frontier : _ checker -> unit
+(** Set the gauge ["separability.frontier"] on {!Sep_obs.Span.local} to
+    {!frontier}. *)
+
+val checker_report : _ checker -> instance:string -> states:int -> report

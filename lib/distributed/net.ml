@@ -363,6 +363,12 @@ let find_node t c =
 let trace t c = List.rev (find_node t c).obs
 let outputs t c = List.rev (find_node t c).outs
 
+let take_outputs t c =
+  let node = find_node t c in
+  let outs = List.rev node.outs in
+  node.outs <- [];
+  outs
+
 let in_flight t =
   let base = Array.fold_left (fun acc line -> acc + Fifo.length line) 0 t.lines in
   Array.fold_left

@@ -68,6 +68,11 @@ val trace : t -> Sep_model.Colour.t -> Sep_model.Component.obs list
 val outputs : t -> Sep_model.Colour.t -> Sep_model.Component.message list
 (** Just the [Output] actions. *)
 
+val take_outputs : t -> Sep_model.Colour.t -> Sep_model.Component.message list
+(** The [Output] actions since the last take, in order; they are then
+    dropped, so {!outputs} no longer returns them. A long-running caller
+    that drains every step pays for the new outputs only. *)
+
 val in_flight : t -> int
 (** Messages currently buffered in wires. *)
 

@@ -253,8 +253,6 @@ type t = {
   mutable events : (int * node_event) list; (* newest first *)
   mutable frame_rejects : int;
   mutable delivered : int;
-  out_cursor : int array; (* Net outputs consumed, per shard node *)
-  mutable ctrl_cursor : int;
   mutable flat_out : (int * int) list; (* newest first *)
   out_q : (int * int) Queue.t; (* same outputs, drained by take_outputs *)
   mutable pending_drops : int list;
@@ -377,8 +375,6 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     events = [];
     frame_rejects = 0;
     delivered = 0;
-    out_cursor = Array.make nshards 0;
-    ctrl_cursor = 0;
     flat_out = [];
     out_q = Queue.create ();
     pending_drops = [];
@@ -505,9 +501,6 @@ let inject t rt =
 (* -- Net output collection -------------------------------------------------- *)
 
 let collect_ctrl t n =
-  let outs = Net.outputs t.net t.ctrl_colour in
-  let fresh = List.filteri (fun i _ -> i >= t.ctrl_cursor) outs in
-  t.ctrl_cursor <- List.length outs;
   List.iter
     (fun m ->
       match Option.map (fun (_, p) -> parse_payload p) (split_wire m) with
@@ -515,12 +508,9 @@ let collect_ctrl t n =
       | _ ->
         t.frame_rejects <- t.frame_rejects + 1;
         event t n (Frame_rejected (-1)))
-    fresh
+    (Net.take_outputs t.net t.ctrl_colour)
 
 let collect_shard t n s =
-  let outs = Net.outputs t.net t.node_colour.(s) in
-  let fresh = List.filteri (fun i _ -> i >= t.out_cursor.(s)) outs in
-  t.out_cursor.(s) <- List.length outs;
   List.iter
     (fun m ->
       match Option.map (fun (_, p) -> parse_payload p) (split_wire m) with
@@ -530,7 +520,7 @@ let collect_shard t n s =
       | _ ->
         t.frame_rejects <- t.frame_rejects + 1;
         event t n (Frame_rejected s))
-    fresh
+    (Net.take_outputs t.net t.node_colour.(s))
 
 (* -- The supervisor --------------------------------------------------------- *)
 

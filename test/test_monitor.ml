@@ -1,7 +1,8 @@
 (* Tests for the online separability monitor (Sep_core.Monitor): exact
-   agreement with the offline checker on clean runs, detection of every
-   checked-in corpus mutant with first-violating-step attribution, the
-   streaming watch over a live kernel, and the campaign hook. *)
+   agreement with the offline checker on clean runs and in any feed
+   order, detection of every checked-in corpus mutant with
+   first-violating-step attribution, the streaming watch over a live
+   kernel, and the campaign hook. *)
 
 module Scenarios = Sep_core.Scenarios
 module Separability = Sep_core.Separability
@@ -56,6 +57,42 @@ let test_clean_agreement () =
         (Separability.failing_conditions online.Fuzz.on_report);
       Alcotest.(check bool) (label ^ ": no violation") true (online.Fuzz.on_first_violation = None))
     Scenarios.all
+
+(* -- feed order does not matter ---------------------------------------------- *)
+
+(* The monitor and the offline checker run the same per-state checks in
+   different orders; the counts must not depend on the order. Feed the
+   reachable states backwards and in a seeded shuffle, and compare with
+   the offline checker over the BFS order. *)
+let test_feed_order_independent () =
+  List.iter
+    (fun (inst : Scenarios.instance) ->
+      let sys = Sue.to_system ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
+      let states = Sep_model.System.reachable sys in
+      let offline = Separability.check_states sys states in
+      let frontier_gauge =
+        Sep_obs.Telemetry.gauge (Sep_obs.Span.local ()) "separability.frontier"
+      in
+      let offline_frontier = int_of_float (Sep_obs.Telemetry.gauge_value frontier_gauge) in
+      let shuffled = Array.of_list states in
+      Sep_util.Prng.shuffle (Sep_util.Prng.create 7) shuffled;
+      List.iter
+        (fun (order, states) ->
+          let label = Fmt.str "%s, %s order" inst.Scenarios.label order in
+          let m = Monitor.create sys in
+          List.iter (fun s -> ignore (Monitor.feed m s)) states;
+          let r = Monitor.report m in
+          check Alcotest.int (label ^ ": states") offline.Separability.states r.Separability.states;
+          check Alcotest.int (label ^ ": checks") offline.Separability.checks r.Separability.checks;
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+            (label ^ ": per-condition counts") offline.Separability.cond_checks
+            r.Separability.cond_checks;
+          check Alcotest.int (label ^ ": frontier") offline_frontier (Monitor.frontier m);
+          check Alcotest.int (label ^ ": frontier gauge") offline_frontier
+            (int_of_float (Sep_obs.Telemetry.gauge_value frontier_gauge)))
+        [ ("reverse", List.rev states); ("shuffled", Array.to_list shuffled) ])
+    [ Scenarios.interrupt; Scenarios.snfe_micro; Scenarios.preemptive ]
 
 (* -- the checked-in corpus mutants ------------------------------------------ *)
 
@@ -234,6 +271,7 @@ let () =
       ( "agreement",
         [
           Alcotest.test_case "clean scenarios match offline" `Quick test_clean_agreement;
+          Alcotest.test_case "feed order does not matter" `Quick test_feed_order_independent;
           Alcotest.test_case "corpus mutants: totals and detection" `Slow
             test_corpus_agreement_and_detection;
           Alcotest.test_case "first violating step is minimal" `Slow

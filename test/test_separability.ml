@@ -156,6 +156,43 @@ let test_state_limit () =
   Alcotest.check_raises "limit enforced" (Failure "System.reachable: state limit exceeded")
     (fun () -> ignore (Separability.check ~state_limit:50 sys))
 
+(* The bucketed checker and [System.reachable] rely on [equal => same
+   hash]. Over each stock scenario's fuzz samples (snapshots plus their
+   scrambled Phi-partners) check it for whole states and, per colour,
+   for the abstractions Phi^c — where the scrambled partners guarantee
+   equal pairs exist, so the property is not vacuous. *)
+let test_equal_implies_same_hash () =
+  List.iter
+    (fun (inst : Scenarios.instance) ->
+      let nonempty = Array.of_list (List.filter (fun i -> i <> []) inst.alphabet) in
+      let n = Array.length nonempty in
+      let sched = List.init 12 (fun k -> if n > 0 && k mod 3 = 0 then nonempty.(k / 3 mod n) else []) in
+      let states = Array.of_list (Sep_check.Fuzz.states_of_schedule ~seed:42 inst.cfg sched) in
+      let consistent equal hash xs =
+        let pairs = ref 0 in
+        Array.iteri
+          (fun i x ->
+            for j = i + 1 to Array.length xs - 1 do
+              if equal x xs.(j) then begin
+                incr pairs;
+                if hash x <> hash xs.(j) then
+                  Alcotest.failf "%s: equal values %d and %d hash differently" inst.label i j
+              end
+            done)
+          xs;
+        !pairs
+      in
+      ignore (consistent Sue.equal Sue.hash states);
+      List.iter
+        (fun c ->
+          let views = Array.map (fun s -> Sue.phi s c) states in
+          let pairs = consistent Sep_core.Abstract_regime.equal Sep_core.Abstract_regime.hash views in
+          Alcotest.(check bool)
+            (Fmt.str "%s: equal Phi^%a pairs found" inst.label Sep_model.Colour.pp c)
+            true (pairs > 0))
+        (Config.colours inst.cfg))
+    Scenarios.all
+
 (* E10: randomized checking on the same instances. *)
 let test_randomized_correct () =
   let inst = Scenarios.pipeline in
@@ -483,6 +520,7 @@ let () =
         [
           Alcotest.test_case "max failures" `Quick test_max_failures_caps;
           Alcotest.test_case "state limit" `Quick test_state_limit;
+          Alcotest.test_case "equal implies same hash" `Quick test_equal_implies_same_hash;
         ] );
       ( "machine-code kernel (E13)",
         [

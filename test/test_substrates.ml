@@ -95,6 +95,18 @@ let test_net_tamper () =
   Alcotest.check_raises "unknown wire" (Invalid_argument "Net.tamper: no such wire") (fun () ->
       ignore (Net.tamper net ~wire:9 (fun m -> Some m)))
 
+(* Draining takes each output exactly once, in order, and leaves the
+   history empty; later outputs come out on the next take. *)
+let test_net_take_outputs () =
+  let net = Net.build (relay_topology ()) in
+  Net.run net ~steps:6 ~externals:(fun n -> if n < 2 then [ (a, Fmt.str "m%d" n) ] else []);
+  Alcotest.(check (list string)) "first take, in order" [ "M0"; "M1" ] (Net.take_outputs net c);
+  Alcotest.(check (list string)) "history emptied" [] (Net.outputs net c);
+  Alcotest.(check (list string)) "nothing taken twice" [] (Net.take_outputs net c);
+  Net.run net ~steps:6 ~externals:(fun n -> if n = 0 then [ (a, "m2") ] else []);
+  Alcotest.(check (list string)) "only the new output" [ "M2" ] (Net.take_outputs net c);
+  Alcotest.(check (list string)) "empty after the second take" [] (Net.outputs net c)
+
 let test_net_capacity_drops () =
   let net = Net.build (relay_topology ~capacity:1 ()) in
   (* two sends into a capacity-1 wire in one step: the second is dropped *)
@@ -232,6 +244,7 @@ let () =
           Alcotest.test_case "sustained backpressure" `Quick test_net_backpressure_sustained;
           Alcotest.test_case "cut wire under sustained sends" `Quick test_net_cut_wire_sustained;
           Alcotest.test_case "wire tamper" `Quick test_net_tamper;
+          Alcotest.test_case "take outputs drains once" `Quick test_net_take_outputs;
         ] );
       ( "regime kernel",
         [
