@@ -515,7 +515,9 @@ let monitor_smoke impl corpus_dir =
                 pp_first_violation online.F.on_first_violation
                 (if caught then "caught" else "MISSED"))
         end)
-      (Sys.readdir corpus_dir)
+      (let names = Sys.readdir corpus_dir in
+       Array.sort String.compare names;
+       names)
   else begin
     ok := false;
     Fmt.epr "rushby: corpus directory %s not found (use --corpus)@." corpus_dir

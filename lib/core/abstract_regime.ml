@@ -32,15 +32,19 @@ let equal (a : t) (b : t) =
   && a.status = b.status && a.devices = b.devices && a.sends = b.sends && a.recvs = b.recvs
 
 let hash (t : t) =
-  Hashtbl.hash
-    ( Array.to_list t.mem,
-      Array.to_list t.regs,
-      t.flag_z,
-      t.flag_n,
-      t.status,
-      Array.to_list t.devices,
-      Array.to_list t.sends,
-      Array.to_list t.recvs )
+  let mix = Machine.mix and mix_bool h b = Machine.mix h (Bool.to_int b) in
+  let h = Machine.mix_words (Machine.mix_words Machine.hash_basis t.mem) t.regs in
+  let h = mix_bool (mix_bool h t.flag_z) t.flag_n in
+  let h = mix h (match t.status with Running -> 0 | Waiting -> 1 | Parked -> 2) in
+  let device h d =
+    mix_bool (mix (mix (mix h (Hashtbl.hash d.dv_kind)) d.dv_data) d.dv_status) d.dv_irq
+  in
+  let chan_end h e =
+    let h = mix (mix (mix h e.ce_chan) e.ce_capacity) (List.length e.ce_contents) in
+    List.fold_left mix h e.ce_contents
+  in
+  let h = Array.fold_left device h t.devices in
+  Array.fold_left chan_end (Array.fold_left chan_end h t.sends) t.recvs
 
 let pp_status ppf = function
   | Running -> Fmt.string ppf "running"

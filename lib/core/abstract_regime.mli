@@ -47,6 +47,12 @@ type t = {
 
 val equal : t -> t -> bool
 val hash : t -> int
+(** A full-content hash: a {!Sep_hw.Machine.mix} fold over every field
+    {!equal} compares — memory, registers, flags, status, each device view
+    and each send/receive end's channel, capacity and contents — so equal
+    views hash alike and views that differ anywhere spread over distinct
+    values. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Specification semantics} *)

@@ -21,9 +21,13 @@
     {b Cost.} A fed state is compared against the members of one hash
     bucket per colour, so the cost per state is amortized O(1) only if
     the system's [hash_abstate] spreads the abstractions over many
-    buckets. With a hash that collapses (few distinct values over many
-    abstractions) a bucket is a linear scan and the cost grows with the
-    number of distinct abstractions seen.
+    buckets. {!Sue.to_system}'s does: {!Abstract_regime.hash} folds the
+    whole view, and over every stock scenario's reachable states each
+    colour's distinct Phi^c views get distinct hashes (ratio 1.0, which a
+    tier-1 test holds at 0.99 or more). The gauges
+    ["separability.phi_keys.<colour>"] next to ["separability.frontier"]
+    show a collapse if one returns: a bucket becomes a linear scan and
+    the cost grows with the number of distinct abstractions seen.
 
     {b Streaming.} {!watch} attaches the monitor to a {e live}
     {!Sue} kernel: after every {!Sue.step} a cheap O(1) probe

@@ -68,12 +68,20 @@ let checker ~max_failures ~on_failure sys =
 
 let frontier ck = ck.reps
 
-(* The frontier of the view-equivalence search as a live gauge (the
-   domain-local registry merges into the global one at join). *)
+(* The frontier of the view-equivalence search and each colour's distinct
+   Phi^c hash keys as live gauges (the domain-local registry merges into
+   the global one at join); keys well below the frontier mean the view
+   hash collapses. *)
 let publish_frontier ck =
-  Sep_obs.Telemetry.set
-    (Sep_obs.Telemetry.gauge (Sep_obs.Span.local ()) "separability.frontier")
-    (float_of_int ck.reps)
+  let module T = Sep_obs.Telemetry in
+  let reg = Sep_obs.Span.local () in
+  T.set (T.gauge reg "separability.frontier") (float_of_int ck.reps);
+  List.iter
+    (fun (c, tbl) ->
+      T.set
+        (T.gauge reg ("separability.phi_keys." ^ Colour.name c))
+        (float_of_int (Hashtbl.length tbl)))
+    ck.tables
 
 (* Failures past the cap are counted as checks but neither rendered nor
    kept. *)

@@ -124,6 +124,7 @@ val frontier : _ checker -> int
 
 val publish_frontier : _ checker -> unit
 (** Set the gauge ["separability.frontier"] on {!Sep_obs.Span.local} to
-    {!frontier}. *)
+    {!frontier}, and ["separability.phi_keys.<colour>"] to the number of
+    distinct [hash_abstate] keys in that colour's bucket table. *)
 
 val checker_report : _ checker -> instance:string -> states:int -> report

@@ -378,15 +378,24 @@ let equal a b =
          x.kind = y.kind && x.data = y.data && x.status = y.status && x.irq = y.irq)
        a.devices b.devices
 
+(* FNV-1a's step on whole words, with the 64-bit FNV prime and its offset
+   basis cut to fit OCaml's 63-bit ints; a fold over every word, where
+   [Hashtbl.hash] stops after its first few meaningful values. *)
+let hash_basis = 0xbf29ce484222325
+let mix h w = (h lxor w) * 0x100000001b3
+let mix_words h a = mix (Array.fold_left mix h a) (Array.length a)
+
+let mix_bool h b = mix h (Bool.to_int b)
+
 let hash t =
-  Hashtbl.hash
-    ( Array.to_list t.mem,
-      Array.to_list t.regs,
-      t.flag_z,
-      t.flag_n,
-      (t.mm.base, t.mm.limit, Array.to_list t.mm.dev_slots),
-      (t.cpu_mode, Array.to_list t.frame, Array.to_list t.mmu_shadow),
-      Array.to_list (Array.map (fun d -> (d.data, d.status, d.irq)) t.devices) )
+  let h = mix_words hash_basis t.mem in
+  let h = mix_bool (mix_bool (mix_words h t.regs) t.flag_z) t.flag_n in
+  let h = mix_words (mix (mix h t.mm.base) t.mm.limit) t.mm.dev_slots in
+  let h = mix h (match t.cpu_mode with User -> 0 | Kernel -> 1) in
+  let h = mix_words (mix_words h t.frame) t.mmu_shadow in
+  Array.fold_left
+    (fun h d -> mix_bool (mix (mix (mix h (Hashtbl.hash d.kind)) d.data) d.status) d.irq)
+    h t.devices
 
 let pp ppf t =
   let digest = Array.fold_left (fun acc w -> (acc * 31) + w) 0 t.mem in

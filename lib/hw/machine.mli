@@ -178,6 +178,23 @@ val equal : t -> t -> bool
     flags, MMU, devices, IRQ lines). *)
 
 val hash : t -> int
+(** A full-content hash: a {!mix} fold over every field {!equal}
+    compares — all of memory, registers, flags, MMU, CPU mode, trap frame,
+    MMU shadow and each device — so equal machines hash alike and states
+    that differ anywhere spread over distinct values. Nothing is cached:
+    each call reads the whole state. *)
+
+val hash_basis : int
+(** The value every {!mix} fold starts from. *)
+
+val mix : int -> int -> int
+(** [mix h w] folds the word [w] into the running hash [h]: FNV-1a's
+    [(h lxor w) * prime] step on 63-bit ints. The one word-mixing step
+    behind {!hash} and {!Sep_core.Abstract_regime.hash}. *)
+
+val mix_words : int -> int array -> int
+(** [mix_words h a] folds every element of [a], then its length, into
+    [h]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact dump: registers, flags, MMU, devices and a memory digest. *)

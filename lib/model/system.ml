@@ -32,16 +32,24 @@ let step sys s i =
   (sys.nextop mid).op_apply mid
 
 let reachable ?(limit = 200_000) sys =
-  let module H = Hashtbl in
-  let seen = H.create 1024 in
-  let mem s = List.exists (sys.equal_state s) (H.find_all seen (sys.hash_state s)) in
-  let add s = H.add seen (sys.hash_state s) s in
+  let seen = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let out = ref [] in
   let count = ref 0 in
+  let visits = ref 0 and equal_calls = ref 0 and keys = ref 0 and longest = ref 0 in
+  let same s s' =
+    incr equal_calls;
+    sys.equal_state s s'
+  in
   let visit s =
-    if not (mem s) then begin
-      add s;
+    incr visits;
+    let h = sys.hash_state s in
+    let chain = Hashtbl.find_all seen h in
+    let len = List.length chain in
+    if len > !longest then longest := len;
+    if not (List.exists (same s) chain) then begin
+      if len = 0 then incr keys;
+      Hashtbl.add seen h s;
       incr count;
       if !count > limit then failwith "System.reachable: state limit exceeded";
       out := s :: !out;
@@ -60,6 +68,18 @@ let reachable ?(limit = 200_000) sys =
     in
     List.iter explore sys.inputs
   done;
+  (* The work counts, published once per call into the calling domain's
+     registry. [distinct_hashes] counts the new states that opened a hash
+     key: with a hash that spreads it equals [new_states], and each
+     revisit costs exactly one [equal_state] call. *)
+  let module T = Sep_obs.Telemetry in
+  let reg = Sep_obs.Span.local () in
+  let add name n = T.incr ~by:n (T.counter reg ("reachable." ^ name)) in
+  add "visits" !visits;
+  add "new_states" !count;
+  add "equal_calls" !equal_calls;
+  add "distinct_hashes" !keys;
+  T.set (T.gauge reg "reachable.longest_chain") (float_of_int !longest);
   List.rev !out
 
 let trace sys s ins =

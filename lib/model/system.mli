@@ -69,7 +69,14 @@ val reachable : ?limit:int -> ('s, 'i, 'o, 'a, 'p) t -> 's list
     post-[INPUT] states (operations are selected in those, so the six
     conditions must hold there too). Raises [Failure] if more than [limit]
     (default 200_000) distinct states are found, to keep exhaustive checks
-    honest about their feasibility. *)
+    honest about their feasibility.
+
+    Each state is hashed once per visit. A completed call adds its work
+    counts to the counters ["reachable.visits"], ["reachable.new_states"],
+    ["reachable.equal_calls"] and ["reachable.distinct_hashes"] (new
+    states that opened a hash key) of {!Sep_obs.Span.local}, and sets the
+    gauge ["reachable.longest_chain"] to the longest hash chain it
+    scanned. *)
 
 val trace : ('s, 'i, 'o, 'a, 'p) t -> 's -> 'i list -> 's list * 'o list
 (** [trace sys s ins] runs the system from [s] over the input word [ins];

@@ -193,6 +193,48 @@ let test_equal_implies_same_hash () =
         (Config.colours inst.cfg))
     Scenarios.all
 
+(* The hash floor the bucketed search needs to stay O(1) per lookup: over
+   every stock scenario's reachable states, distinct [Sue.hash] values
+   per state and, per colour, distinct [Abstract_regime.hash] values per
+   distinct Phi^c view must both reach 0.99. Views are deduplicated with
+   [compare], so the floor does not lean on the hash it measures. *)
+let test_distinct_hash_floor () =
+  let ratio hashes n =
+    float_of_int (List.length (List.sort_uniq Int.compare hashes)) /. float_of_int n
+  in
+  let floor what r =
+    if r < 0.99 then Alcotest.failf "%s: distinct-hash ratio %.4f below 0.99" what r
+  in
+  List.iter
+    (fun (inst : Scenarios.instance) ->
+      let sys = Sue.to_system ~inputs:inst.alphabet inst.cfg in
+      let states = Sep_model.System.reachable sys in
+      floor inst.label (ratio (List.map Sue.hash states) (List.length states));
+      List.iter
+        (fun c ->
+          let views = List.sort_uniq compare (List.map (fun s -> Sue.phi s c) states) in
+          floor
+            (Fmt.str "%s Phi^%a" inst.label Sep_model.Colour.pp c)
+            (ratio (List.map Sep_core.Abstract_regime.hash views) (List.length views)))
+        (Config.colours inst.cfg))
+    Scenarios.all
+
+(* [System.reachable]'s in-program work counts: on pipeline every new
+   state opens its own hash key, and each revisit costs one equality. *)
+let test_reachable_counters () =
+  let reg = Sep_obs.Span.local () in
+  let read name = Sep_obs.Telemetry.(counter_value (counter reg ("reachable." ^ name))) in
+  let names = [ "visits"; "new_states"; "equal_calls"; "distinct_hashes" ] in
+  let before = List.map read names in
+  let r = exhaustive Scenarios.pipeline in
+  match List.map2 (fun n b -> read n - b) names before with
+  | [ visits; fresh; equal_calls; keys ] ->
+    Alcotest.(check int) "new states = report states" r.Separability.states fresh;
+    Alcotest.(check int) "pipeline states" 9944 fresh;
+    Alcotest.(check int) "distinct hash keys = new states" fresh keys;
+    Alcotest.(check int) "equal calls = visits - new states" (visits - fresh) equal_calls
+  | _ -> assert false
+
 (* E10: randomized checking on the same instances. *)
 let test_randomized_correct () =
   let inst = Scenarios.pipeline in
@@ -521,6 +563,8 @@ let () =
           Alcotest.test_case "max failures" `Quick test_max_failures_caps;
           Alcotest.test_case "state limit" `Quick test_state_limit;
           Alcotest.test_case "equal implies same hash" `Quick test_equal_implies_same_hash;
+          Alcotest.test_case "distinct-hash floor" `Quick test_distinct_hash_floor;
+          Alcotest.test_case "reachable counters" `Quick test_reachable_counters;
         ] );
       ( "machine-code kernel (E13)",
         [
